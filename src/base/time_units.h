@@ -27,6 +27,11 @@ constexpr Duration Microseconds(std::int64_t n) { return n * kMicrosecond; }
 constexpr Duration Milliseconds(std::int64_t n) { return n * kMillisecond; }
 constexpr Duration Seconds(std::int64_t n) { return n * kSecond; }
 
+// "Not at any time": what an exact wakeup computes for an event that cannot
+// happen until something else changes (a stopped clock never reaches a
+// later reading). Later than every reachable simulated time.
+inline constexpr Time kNever = INT64_MAX;
+
 // Converts a floating point count of seconds/milliseconds to a Duration,
 // rounding to the nearest nanosecond.
 constexpr Duration SecondsF(double s) {

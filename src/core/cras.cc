@@ -491,7 +491,9 @@ crbase::Result<SessionId> CrasServer::HandleOpen(OpenParams params, bool interna
   if (params.index.empty()) {
     return reject(crbase::InvalidArgumentError("empty chunk index"));
   }
-  if (params.rate_factor <= 0) {
+  // The logical clock keeps rates in millionths; anything that rounds to
+  // zero there is no positive rate.
+  if (params.rate_factor * LogicalClock::kRateUnit < 0.5) {
     return reject(crbase::InvalidArgumentError("rate factor must be positive"));
   }
   const crufs::Inode& inode = fs_->inode(params.inode);
@@ -674,6 +676,7 @@ crbase::Status CrasServer::HandleClose(SessionId id) {
     }
   }
   sessions_.erase(it);
+  NotifySession(id);
   if (feed_to_close != kInvalidSession) {
     // The last member left: the group dissolved with it, so the
     // server-owned feed has nobody to serve. One level of recursion only —
@@ -688,6 +691,7 @@ crbase::Status CrasServer::HandleStart(SessionId id, crbase::Duration initial_de
   if (session == nullptr) {
     return crbase::NotFoundError("no such session");
   }
+  NotifySession(id);
   if (initial_delay < 0) {
     return crbase::InvalidArgumentError("negative initial delay");
   }
@@ -702,6 +706,7 @@ crbase::Status CrasServer::HandleStart(SessionId id, crbase::Duration initial_de
     if (Session* f = FindSession(feed); f != nullptr && !f->started) {
       f->started = true;
       f->clock->Start(initial_delay);
+      NotifySession(feed);
     }
   }
   return crbase::OkStatus();
@@ -712,6 +717,7 @@ crbase::Status CrasServer::HandleStop(SessionId id) {
   if (session == nullptr) {
     return crbase::NotFoundError("no such session");
   }
+  NotifySession(id);
   session->started = false;
   session->clock->Stop();
   return crbase::OkStatus();
@@ -722,6 +728,7 @@ crbase::Status CrasServer::HandleSeek(SessionId id, crbase::Time logical) {
   if (session == nullptr) {
     return crbase::NotFoundError("no such session");
   }
+  NotifySession(id);
   if (session->kind != SessionKind::kRead) {
     return crbase::FailedPreconditionError("seek on a write session");
   }
@@ -767,7 +774,8 @@ crbase::Status CrasServer::HandleSetRate(SessionId id, double rate_factor) {
   if (session == nullptr) {
     return crbase::NotFoundError("no such session");
   }
-  if (rate_factor <= 0) {
+  NotifySession(id);
+  if (rate_factor * LogicalClock::kRateUnit < 0.5) {
     return crbase::InvalidArgumentError("rate factor must be positive");
   }
   if (session->kind != SessionKind::kRead) {
@@ -941,6 +949,7 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
   const crufs::InodeNumber resumed_title = old.inode;
   reaped_.erase(it);
   sessions_.emplace(id, std::move(session));
+  NotifySession(id);
   if (cache_ != nullptr && resumed_kind == SessionKind::kRead) {
     cache_->Register(id, resumed_title, resume_chunk, cache_plan, kernel_->Now());
   }
@@ -953,6 +962,7 @@ crbase::Status CrasServer::HandleReconnect(SessionId id) {
 // ---------------------------------------------------------------------------
 
 void CrasServer::ResumeUnicast(Session& session) {
+  NotifySession(session.id);
   session.group_served = false;
   session.group_limit_chunk = -1;
   const std::int64_t count = static_cast<std::int64_t>(session.index.count());
@@ -1211,6 +1221,7 @@ std::int64_t CrasServer::PublishCompletedBatches() {
       session->stats.bytes_published += chunk.size;
       ++published;
     }
+    NotifySession(batch.session);
   }
   return published;
 }
@@ -1478,6 +1489,24 @@ std::optional<BufferedChunk> CrasServer::Get(SessionId id, crbase::Time logical)
 crobs::SessionTrace* CrasServer::FrameTrace(SessionId id) const {
   const Session* session = FindSession(id);
   return session == nullptr ? nullptr : session->ftrace;
+}
+
+crbase::Time CrasServer::RealTimeOf(SessionId id, crbase::Time logical) const {
+  const Session* session = FindSession(id);
+  return session == nullptr ? crbase::kNever : session->clock->RealTimeOf(logical);
+}
+
+void CrasServer::NotifySession(SessionId id) {
+  auto it = session_waits_.find(id);
+  if (it == session_waits_.end()) {
+    return;
+  }
+  it->second.Notify();
+  if (!HasSession(id)) {
+    // Closed: nobody re-parks before the wakeups run, so drop the list; a
+    // thread waiting for a Reconnect re-creates it.
+    session_waits_.erase(it);
+  }
 }
 
 crbase::Time CrasServer::LogicalNow(SessionId id) const {

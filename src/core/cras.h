@@ -302,6 +302,23 @@ class CrasServer {
   std::optional<BufferedChunk> Get(SessionId id, crbase::Time logical);
   crbase::Time LogicalNow(SessionId id) const;
 
+  // ---- delivery-thread wakeups ----
+  // Exact, event-driven waits for the threads that walk a session's chunks
+  // (NPS sender, group transport, local player) — no polling. WaitSession
+  // suspends the caller until real time `wake_at` (crbase::kNever: no
+  // timeout) or until session `id` changes, whichever comes first: data
+  // published into its shared buffer; its clock started, stopped, seeked or
+  // re-rated; the session closed, shed, reaped or resumed; or, for a group
+  // member, demoted to unicast. The caller re-checks its condition on
+  // waking. Waiters wake in the order they parked.
+  auto WaitSession(SessionId id, crbase::Time wake_at) {
+    return session_waits_.try_emplace(id, kernel_->engine()).first->second.Wait(wake_at);
+  }
+  // Real time at which session `id`'s logical clock first reads `logical`
+  // (LogicalClock::RealTimeOf): now if it already does, crbase::kNever for
+  // a stopped clock or an unknown session.
+  crbase::Time RealTimeOf(SessionId id, crbase::Time logical) const;
+
   // Session `id`'s frame-trace ring, or nullptr (unknown session, or frame
   // tracing disabled). The delivery layer — local player, NPS sender, group
   // transport — caches this once per session and stamps the downstream
@@ -522,6 +539,8 @@ class CrasServer {
   bool UseCachedAdmission() const {
     return cache_ != nullptr || group_mgr_ != nullptr;
   }
+  // Wakes every WaitSession waiter on `id`.
+  void NotifySession(SessionId id);
   // Flips a group member back to plain unicast disk service: clears the
   // group flags and resumes scheduling at the clock's current position.
   // Membership bookkeeping (GroupManager) is the caller's to update.
@@ -603,6 +622,9 @@ class CrasServer {
   std::set<SessionId> shed_ids_;
   std::set<SessionId> reaped_ids_;
   std::map<SessionId, ReapedSession> reaped_;
+  // WaitSession waiters by session id. Kept apart from Session so a thread
+  // parked on a reaped session is still there when Reconnect resumes it.
+  std::map<SessionId, crsim::WaitList> session_waits_;
 
   std::map<std::uint64_t, Batch> inflight_;
   std::deque<std::uint64_t> completed_batches_;

@@ -10,6 +10,9 @@
 #ifndef SRC_CORE_LOGICAL_CLOCK_H_
 #define SRC_CORE_LOGICAL_CLOCK_H_
 
+#include <cmath>
+#include <cstdint>
+
 #include "src/base/logging.h"
 #include "src/base/time_units.h"
 #include "src/sim/engine.h"
@@ -21,18 +24,38 @@ using crbase::Time;
 
 class LogicalClock {
  public:
+  // Rates are held as an integer count of millionths, so the clock and its
+  // inverse are exact integer rescalings of real time (no rounding drift
+  // between "when" and "what does it read then"). 1.0 is exactly 1000000.
+  static constexpr std::int64_t kRateUnit = 1000000;
+
   explicit LogicalClock(crsim::Engine& engine) : engine_(&engine) {}
 
   bool running() const { return running_; }
-  double rate() const { return rate_; }
+  double rate() const { return static_cast<double>(rate_) / kRateUnit; }
 
   // Current logical time. May be negative while an initial delay elapses.
   Time Now() const {
     if (!running_) {
       return base_logical_;
     }
-    const Duration real_elapsed = engine_->Now() - base_real_;
-    return base_logical_ + static_cast<Duration>(rate_ * static_cast<double>(real_elapsed));
+    return base_logical_ + Rescale(engine_->Now() - base_real_, kRateUnit, rate_);
+  }
+
+  // The clock's exact inverse: the earliest real (engine) time at which
+  // Now() >= `logical` — the current time if it already does, and
+  // crbase::kNever while the clock is stopped short of it. Any Start, Stop,
+  // SeekTo or SetRate invalidates the answer.
+  Time RealTimeOf(Time logical) const {
+    const Time now = Now();
+    if (logical <= now) {
+      return engine_->Now();
+    }
+    if (!running_) {
+      return crbase::kNever;
+    }
+    // Smallest elapsed e with floor(e * rate / unit) >= logical - base.
+    return base_real_ + RescaleUp(logical - base_logical_, rate_, kRateUnit);
   }
 
   // Starts (or resumes) the clock from its current reading, backed off by
@@ -41,7 +64,7 @@ class LogicalClock {
   // CRAS fills the first buffers); a stopped stream resumes where it froze.
   void Start(Duration initial_delay = 0) {
     CRAS_CHECK(initial_delay >= 0);
-    base_logical_ -= static_cast<Time>(rate_ * static_cast<double>(initial_delay));
+    base_logical_ -= Rescale(initial_delay, kRateUnit, rate_);
     base_real_ = engine_->Now();
     running_ = true;
   }
@@ -59,17 +82,29 @@ class LogicalClock {
   }
 
   // Changes the advance rate without disturbing the current reading.
+  // `rate` is rounded to the nearest millionth.
   void SetRate(double rate) {
-    CRAS_CHECK(rate > 0);
+    const auto scaled = static_cast<std::int64_t>(std::llround(rate * kRateUnit));
+    CRAS_CHECK(scaled > 0) << "logical clock rate must be positive";
     base_logical_ = Now();
     base_real_ = engine_->Now();
-    rate_ = rate;
+    rate_ = scaled;
   }
 
  private:
+  // d * to / from for d >= 0, rounded down, without overflowing the
+  // product (the rescale_duration idiom).
+  static std::int64_t Rescale(std::int64_t d, std::int64_t from, std::int64_t to) {
+    return d / from * to + d % from * to / from;
+  }
+  // As Rescale, rounded up.
+  static std::int64_t RescaleUp(std::int64_t d, std::int64_t from, std::int64_t to) {
+    return d / from * to + (d % from * to + from - 1) / from;
+  }
+
   crsim::Engine* engine_;
   bool running_ = false;
-  double rate_ = 1.0;
+  std::int64_t rate_ = kRateUnit;
   Time base_logical_ = 0;
   Time base_real_ = 0;
 };

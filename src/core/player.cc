@@ -77,8 +77,8 @@ crsim::Task SpawnCrasPlayer(crrt::Kernel& kernel, CrasServer& server,
           // under contention this wait is part of the measured delay (the
           // paper's Figure 10 effect).
           co_await ctx.Compute(options.cpu_per_frame);
-          // crs_get touches only the shared buffer; poll until the frame
-          // lands or the give-up horizon passes.
+          // crs_get touches only the shared buffer; wait on the session
+          // until the frame lands or the give-up horizon passes.
           bool got = false;
           while (ctx.Now() - due_at < options.give_up) {
             if (server.WasShed(id)) {
@@ -103,7 +103,7 @@ crsim::Task SpawnCrasPlayer(crrt::Kernel& kernel, CrasServer& server,
               got = true;
               break;
             }
-            co_await ctx.Sleep(options.poll);
+            co_await server.WaitSession(id, due_at + options.give_up);
           }
           if (!got) {
             if (server.WasShed(id)) {

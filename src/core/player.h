@@ -64,13 +64,14 @@ struct PlayerOptions {
   // Consumption rate divisor for dynamic-QoS experiments: 3 plays every 3rd
   // frame (10 fps from a 30 fps stream), as in §2.4's example.
   std::int64_t frame_step = 1;
-  // Polling grain while waiting for late data, and the give-up horizon.
-  // The give-up must not exceed the server's jitter allowance J: a frame
-  // later than J is discarded by the time-driven rule anyway, and a player
-  // that keeps waiting for it slips so far that every subsequent chunk has
-  // aged out before it asks (an unrecoverable spiral). Give up, count the
-  // miss, and stay on schedule — which is what crs_get semantics imply.
-  crbase::Duration poll = crbase::Milliseconds(2);
+  // How long to wait for a late frame. A late frame is waited for on the
+  // session (CrasServer::WaitSession: it wakes the player the moment the
+  // data is published), not polled for. The give-up must not exceed the
+  // server's jitter allowance J: a frame later than J is discarded by the
+  // time-driven rule anyway, and a player that keeps waiting for it slips
+  // so far that every subsequent chunk has aged out before it asks (an
+  // unrecoverable spiral). Give up, count the miss, and stay on schedule —
+  // which is what crs_get semantics imply.
   crbase::Duration give_up = crbase::Milliseconds(100);
   // CPU charged per rendered frame (decode/display stand-in).
   crbase::Duration cpu_per_frame = crbase::Microseconds(200);

@@ -18,7 +18,8 @@ GroupReceiver::GroupReceiver(crrt::Kernel& kernel, const crmedia::ChunkIndex* in
       index_(index),
       options_(options),
       buffer_(options.buffer_bytes, options.jitter_allowance),
-      clock_(kernel.engine()) {
+      clock_(kernel.engine()),
+      wake_(kernel.engine()) {
   CRAS_CHECK(index_ != nullptr);
   CRAS_CHECK(options_.report_interval > 0);
 }
@@ -123,6 +124,13 @@ void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
   }
   if (entry.received == entry.frag_count) {
     Complete(fragment.seq, entry);
+  }
+  // Wake an idle report thread if something is now incomplete (back onto
+  // the report cadence), or if it parked on a stopped clock that has since
+  // started (its due sweep needs a real time to sleep to).
+  if (idle_ && (!pending_.empty() || (idle_on_stopped_clock_ && clock_.running()))) {
+    idle_ = false;
+    wake_.Notify();
   }
 }
 
@@ -247,69 +255,98 @@ void GroupReceiver::Abandon(std::uint64_t seq, Reassembly& entry) {
 }
 
 crsim::Task GroupReceiver::ReportThread(crrt::ThreadContext& ctx) {
+  (void)ctx;
   while (!stopped_) {
-    co_await ctx.Sleep(options_.report_interval);
-    // Sweep: give up on anything playout has moved past. The chunk index
-    // supplies the deadline, so even a metadata-less placeholder dies on
-    // schedule instead of lingering on a TTL.
-    const crbase::Time logical = clock_.Now();
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      const std::uint64_t seq = it->first;
-      if (logical > DeadlineOf(seq)) {
-        Reassembly& entry = it->second;
-        ++it;  // Abandon erases; advance first
-        Abandon(seq, entry);
-      } else {
-        ++it;
+    Sweep();
+    idle_ = pending_.empty();
+    idle_on_stopped_clock_ = idle_ && !clock_.running();
+    co_await wake_.Wait(NextWake());
+  }
+}
+
+void GroupReceiver::Sweep() {
+  // Give up on anything playout has moved past. The chunk index supplies
+  // the deadline, so even a metadata-less placeholder dies on schedule
+  // instead of lingering on a TTL.
+  const crbase::Time logical = clock_.Now();
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    const std::uint64_t seq = it->first;
+    if (logical > DeadlineOf(seq)) {
+      Reassembly& entry = it->second;
+      ++it;  // Abandon erases; advance first
+      Abandon(seq, entry);
+    } else {
+      ++it;
+    }
+  }
+  if (reverse_ == nullptr || sender_ == nullptr) {
+    return;
+  }
+  // Due sweep (on a running clock only: before playout starts the clock
+  // reads a meaningless zero): arrival-driven gap detection cannot reveal a loss no later
+  // packet follows — the tail of the unicast bridge, or the last chunks of
+  // the movie. Walk the index once (monotone cursor) and placeholder any
+  // chunk whose playout time is imminent and still absent, so it gets
+  // reported and, failing repair, swept at its deadline. The jitter
+  // allowance of slack keeps an on-schedule stream from generating phantom
+  // reports for chunks simply not sent yet. Chunks already done need no
+  // check, whatever their time.
+  while (clock_.running() && due_swept_ < index_->count()) {
+    if (done_.count(due_swept_) == 0) {
+      if (index_->at(static_cast<std::size_t>(due_swept_)).timestamp >
+          logical + options_.jitter_allowance) {
+        break;
       }
-    }
-    if (reverse_ == nullptr || sender_ == nullptr) {
-      continue;
-    }
-    // Due sweep: arrival-driven gap detection cannot reveal a loss no
-    // later packet follows — the tail of the unicast bridge, or the last
-    // chunks of the movie. Walk the index once (monotone cursor) and
-    // placeholder any chunk whose playout time is imminent and still
-    // absent, so it gets reported and, failing repair, swept at its
-    // deadline. The jitter allowance of slack keeps an on-schedule stream
-    // from generating phantom reports for chunks simply not sent yet.
-    while (due_swept_ < index_->count() &&
-           index_->at(static_cast<std::size_t>(due_swept_)).timestamp <=
-               logical + options_.jitter_allowance) {
-      if (done_.count(due_swept_) == 0 && pending_.count(due_swept_) == 0) {
+      if (pending_.count(due_swept_) == 0) {
         EnsureEntry(due_swept_);
       }
-      ++due_swept_;
     }
-    // Bitmap report: every surviving gap older than the reordering grace,
-    // in one packet.
-    LossReport report;
-    report.member = member_;
-    const crbase::Time now = kernel_->Now();
-    for (const auto& [seq, entry] : pending_) {
-      if (now - entry.created_at <= options_.reorder_grace) {
-        continue;
-      }
-      LossReportEntry loss;
-      loss.seq = seq;
-      for (int i = 0; i < entry.frag_count; ++i) {
-        if (!entry.have[static_cast<std::size_t>(i)]) {
-          loss.missing.push_back(i);
-        }
-      }
-      report.entries.push_back(std::move(loss));
-    }
-    if (report.entries.empty()) {
+    ++due_swept_;
+  }
+  // Bitmap report: every surviving gap older than the reordering grace,
+  // in one packet.
+  LossReport report;
+  report.member = member_;
+  const crbase::Time now = kernel_->Now();
+  for (const auto& [seq, entry] : pending_) {
+    if (now - entry.created_at <= options_.reorder_grace) {
       continue;
     }
-    ++stats_.reports_sent;
-    if (obs_ != nullptr) {
-      obs_->reports_sent->Add();
+    LossReportEntry loss;
+    loss.seq = seq;
+    for (int i = 0; i < entry.frag_count; ++i) {
+      if (!entry.have[static_cast<std::size_t>(i)]) {
+        loss.missing.push_back(i);
+      }
     }
-    GroupSender* sender = sender_;
-    reverse_->Send(options_.report_bytes,
-                   [sender, report = std::move(report)] { sender->OnLossReport(report); });
+    report.entries.push_back(std::move(loss));
   }
+  if (report.entries.empty()) {
+    return;
+  }
+  ++stats_.reports_sent;
+  if (obs_ != nullptr) {
+    obs_->reports_sent->Add();
+  }
+  GroupSender* sender = sender_;
+  reverse_->Send(options_.report_bytes,
+                 [sender, report = std::move(report)] { sender->OnLossReport(report); });
+}
+
+crbase::Time GroupReceiver::NextWake() const {
+  if (!pending_.empty()) {
+    // Something is missing: report (and sweep) on the cadence.
+    return kernel_->Now() + options_.report_interval;
+  }
+  if (reverse_ == nullptr || sender_ == nullptr || due_swept_ >= index_->count() ||
+      !clock_.running()) {
+    // Only a fragment (or Stop) can give work; the first fragment after a
+    // stopped clock starts wakes us.
+    return crbase::kNever;
+  }
+  // The next chunk's due sweep.
+  return clock_.RealTimeOf(index_->at(static_cast<std::size_t>(due_swept_)).timestamp -
+                           options_.jitter_allowance);
 }
 
 std::optional<cras::BufferedChunk> GroupReceiver::Get(crbase::Time t) {
@@ -344,13 +381,19 @@ void GroupReceiver::AttachObs(crobs::Hub* hub, const std::string& name) {
 
 GroupSender::GroupSender(crrt::Kernel& kernel, cras::CrasServer& server,
                          crnet::Link& forward, const Options& options)
-    : kernel_(&kernel), server_(&server), link_(&forward), options_(options) {
+    : kernel_(&kernel),
+      server_(&server),
+      link_(&forward),
+      options_(options),
+      walks_done_(kernel.engine()) {
   CRAS_CHECK(options_.repair_window_chunks > 0);
   CRAS_CHECK(options_.max_window_entries > 0);
 }
 
 GroupSender::GroupSender(crrt::Kernel& kernel, cras::CrasServer& server, crnet::Link& forward)
     : GroupSender(kernel, server, forward, Options{}) {}
+
+GroupSender::~GroupSender() { kernel_->engine().Cancel(repair_timer_); }
 
 void GroupSender::AddMember(SessionId session, GroupReceiver& receiver) {
   Member member;
@@ -365,6 +408,16 @@ void GroupSender::AddMember(SessionId session, GroupReceiver& receiver) {
   member.trace = server_->FrameTrace(session);
   receiver.set_frame_trace(member.trace);
   members_.push_back(std::move(member));
+  if (started_) {
+    SpawnWalk(members_.size() - 1);
+  }
+}
+
+void GroupSender::SpawnWalk(std::size_t mi) {
+  ++live_walks_;
+  kernel_->Spawn("mcast-member", options_.priority, [this, mi](crrt::ThreadContext& ctx) {
+           return MemberWalk(ctx, mi);
+         }).Detach();
 }
 
 GroupSender::Member* GroupSender::FindMember(SessionId session) {
@@ -379,10 +432,18 @@ GroupSender::Member* GroupSender::FindMember(SessionId session) {
 crsim::Task GroupSender::Start(GroupId group, const crmedia::ChunkIndex* index) {
   group_ = group;
   index_ = index;
-  return kernel_->Spawn("mcast-sender", options_.priority,
-                        [this, index](crrt::ThreadContext& ctx) {
-                          return SenderThread(ctx, index);
-                        });
+  started_ = true;
+  last_repair_ = kernel_->Now();
+  crsim::Task feed = kernel_->Spawn(
+      "mcast-sender", options_.priority,
+      [this](crrt::ThreadContext& ctx) { return SenderThread(ctx); });
+  for (std::size_t mi = 0; mi < members_.size(); ++mi) {
+    SpawnWalk(mi);
+    if (!members_[mi].missing.empty()) {
+      ArmRepair();
+    }
+  }
+  return feed;
 }
 
 std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedChunk& chunk,
@@ -408,6 +469,12 @@ std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedCh
   stored.frag_bytes = frag_bytes;
   stored.deadline = crnet::ChunkDeadline(chunk);
   store_.emplace(seq, std::move(stored));
+  // The repair window: the last repair_window_chunks multicast chunks.
+  // Deadline pruning waits for the next repair pass, the only reader that
+  // cares.
+  while (store_.size() > static_cast<std::size_t>(options_.repair_window_chunks)) {
+    store_.erase(store_.begin());
+  }
 
   for (int i = 0; i < frag_count; ++i) {
     crnet::NpsFragment fragment;
@@ -483,7 +550,7 @@ void GroupSender::SendUnicast(Member& member, std::uint64_t seq,
   }
 }
 
-void GroupSender::RefreshMember(Member& member, const crmedia::ChunkIndex* index) {
+void GroupSender::RefreshMember(Member& member) {
   if (member.dead) {
     return;
   }
@@ -499,7 +566,7 @@ void GroupSender::RefreshMember(Member& member, const crmedia::ChunkIndex* index
     // The server demoted this member behind our back (bridge cache miss,
     // seek, shed settle). Pick up the unicast walk from its play point.
     member.unicast = true;
-    std::int64_t at = index->FindByTime(server_->LogicalNow(member.session));
+    std::int64_t at = index_->FindByTime(server_->LogicalNow(member.session));
     if (at < 0) {
       at = 0;
     }
@@ -540,7 +607,7 @@ void GroupSender::OnLossReport(const LossReport& report) {
   if (member == nullptr || member->dead) {
     return;
   }
-  RefreshMember(*member, index_);
+  RefreshMember(*member);
   if (member->dead) {
     return;
   }
@@ -552,16 +619,33 @@ void GroupSender::OnLossReport(const LossReport& report) {
       RetransmitUnicast(*member, entry);
     } else {
       member->missing[entry.seq] = entry.missing;
+      ArmRepair();
     }
   }
 }
 
-void GroupSender::PruneStore() {
-  // The repair window: keep the last repair_window_chunks multicast chunks,
-  // and nothing whose playout deadline every remaining member has passed.
-  while (store_.size() > static_cast<std::size_t>(options_.repair_window_chunks)) {
-    store_.erase(store_.begin());
+void GroupSender::ArmRepair() {
+  if (!started_ || repair_timer_ != crsim::kInvalidEventId || repair_closed_) {
+    return;  // before Start, losses wait for the first pass
   }
+  // Passes stay on a repair_interval grid from the last one, so reports
+  // from many receivers aggregate into one pass rather than each opening
+  // its own.
+  crbase::Time at = last_repair_ + options_.repair_interval;
+  if (at < kernel_->Now()) {
+    at += (kernel_->Now() - at + options_.repair_interval - 1) / options_.repair_interval *
+          options_.repair_interval;
+  }
+  repair_timer_ = kernel_->engine().ScheduleAt(at, [this] {
+        repair_timer_ = crsim::kInvalidEventId;
+        last_repair_ = kernel_->Now();
+        RepairTick();
+      });
+}
+
+void GroupSender::PruneStore() {
+  // Nothing whose playout deadline every remaining member has passed
+  // (ShipMulticast bounds the store to the repair window).
   crbase::Time min_logical = 0;
   bool any = false;
   for (const Member& member : members_) {
@@ -586,6 +670,7 @@ void GroupSender::RepairTick() {
   // (seq, frag) needs; a loss that already left the repair window demotes
   // the member to unicast if its own clock says the chunk were still
   // repairable — it fell behind the group, not behind its deadline.
+  PruneStore();
   struct Need {
     std::uint64_t seq = 0;
     int frag_index = 0;
@@ -724,154 +809,118 @@ void GroupSender::RepairTick() {
   flush();
 }
 
-crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx,
-                                      const crmedia::ChunkIndex* index) {
+crsim::Task GroupSender::SenderThread(crrt::ThreadContext& ctx) {
   const GroupManager* mgr = server_->mcast_groups();
   CRAS_CHECK(mgr != nullptr);
-  const std::uint64_t count = index->count();
-  crbase::Time last_repair = ctx.Now();
-  crbase::Time drain_until = 0;
-  for (;;) {
-    // Phase 1: multicast everything due from the feed's shared buffer.
-    while (mgr->Alive(group_) && cursor_ < count) {
-      const SessionId feed = mgr->FeedOf(group_);
-      if (!server_->HasSession(feed)) {
-        break;
-      }
-      const crmedia::Chunk& chunk = index->at(static_cast<std::size_t>(cursor_));
-      if (server_->LogicalNow(feed) < chunk.timestamp - options_.lookahead) {
-        break;
-      }
-      std::optional<cras::BufferedChunk> buffered = server_->Get(feed, chunk.timestamp);
-      if (!buffered.has_value()) {
-        if (server_->LogicalNow(feed) > crnet::ChunkDeadline(chunk)) {
-          skipped_.insert(cursor_);
-          ++stats_.chunks_skipped;
-          if (crobs::SessionTrace* feed_trace = server_->FrameTrace(feed)) {
-            feed_trace->Miss(static_cast<std::int64_t>(cursor_),
-                             crobs::FrameStage::kSent);
-          }
-          // Members never see this chunk on the feed; their own deadline
-          // sweeps resolve the per-member misses.
-          ++cursor_;
-          server_->mcast_groups()->NoteShipCursor(group_, static_cast<std::int64_t>(cursor_));
-          continue;
-        }
-        break;  // not filled yet; retry next poll
-      }
-      co_await ctx.Compute(options_.cpu_per_chunk);
-      ShipMulticast(cursor_, *buffered, ctx.Now());
+  const std::uint64_t count = index_->count();
+  // Multicast everything from the feed's shared buffer, each chunk at its
+  // exact ship time on the feed clock.
+  while (mgr->Alive(group_) && cursor_ < count) {
+    const SessionId feed = mgr->FeedOf(group_);
+    crnet::PacedChunk paced;
+    co_await crnet::PaceChunk(*server_, feed, index_->at(static_cast<std::size_t>(cursor_)),
+                              options_.lookahead, &paced);
+    if (paced.outcome == crnet::PaceOutcome::kGone) {
+      break;  // the feed closed: the group dissolved with it
+    }
+    if (paced.outcome == crnet::PaceOutcome::kSkip) {
+      skipped_.insert(cursor_);
+      ++stats_.chunks_skipped;
       if (crobs::SessionTrace* feed_trace = server_->FrameTrace(feed)) {
-        // The feed session's own frame ends its life at the fan-out: it is
-        // "delivered" to the group, not played out locally.
-        feed_trace->SetPath(buffered->chunk_index, crobs::FramePath::kMcastFeed);
-        feed_trace->ResolveDelivered(buffered->chunk_index);
+        feed_trace->Miss(static_cast<std::int64_t>(cursor_), crobs::FrameStage::kSent);
       }
+      // Members never see this chunk on the feed; their own deadline
+      // sweeps resolve the per-member misses.
       ++cursor_;
       server_->mcast_groups()->NoteShipCursor(group_, static_cast<std::int64_t>(cursor_));
+      continue;
     }
-    PruneStore();
+    co_await ctx.Compute(options_.cpu_per_chunk);
+    ShipMulticast(cursor_, *paced.chunk, ctx.Now());
+    if (crobs::SessionTrace* feed_trace = server_->FrameTrace(feed)) {
+      // The feed session's own frame ends its life at the fan-out: it is
+      // "delivered" to the group, not played out locally.
+      feed_trace->SetPath(paced.chunk->chunk_index, crobs::FramePath::kMcastFeed);
+      feed_trace->ResolveDelivered(paced.chunk->chunk_index);
+    }
+    ++cursor_;
+    server_->mcast_groups()->NoteShipCursor(group_, static_cast<std::int64_t>(cursor_));
+  }
+  // A member's reveal of a tail loss happens on its own playout clock,
+  // which trails the feed by its join offset — a fixed post-ship linger
+  // cannot cover a late joiner. Each member walk ends once its clock is
+  // past the final chunk's deadline; wait them all out, then drain so
+  // in-flight reports can still be repaired.
+  for (;;) {
+    while (live_walks_ > 0) {
+      co_await walks_done_.Wait(crbase::kNever);
+    }
+    co_await ctx.Sleep(options_.lookahead + options_.drain);
+    if (live_walks_ == 0) {
+      break;  // no member joined during the drain
+    }
+  }
+  repair_closed_ = true;
+  kernel_->engine().Cancel(repair_timer_);
+  repair_timer_ = crsim::kInvalidEventId;
+}
 
-    // Phase 2: unicast walks — bridge patches below each merge point, and
-    // full streams for demoted members. Index loop: AddMember may grow the
-    // vector across suspension points.
-    for (std::size_t mi = 0; mi < members_.size(); ++mi) {
-      RefreshMember(members_[mi], index);
-      for (;;) {
-        Member& member = members_[mi];
-        if (member.dead) {
-          break;
-        }
-        const std::int64_t limit =
-            member.unicast ? static_cast<std::int64_t>(count) : member.merge_chunk;
-        const std::int64_t cur = member.unicast ? member.unicast_cursor : member.patch_cursor;
-        if (cur >= limit) {
-          break;
-        }
-        const crmedia::Chunk& chunk = index->at(static_cast<std::size_t>(cur));
-        if (server_->LogicalNow(member.session) < chunk.timestamp - options_.lookahead) {
-          break;
-        }
-        std::optional<cras::BufferedChunk> buffered =
-            server_->Get(member.session, chunk.timestamp);
-        if (!buffered.has_value()) {
-          if (server_->LogicalNow(member.session) > crnet::ChunkDeadline(chunk)) {
-            ++stats_.chunks_skipped;
-            if (member.trace != nullptr) {
-              member.trace->Miss(cur, crobs::FrameStage::kSent);
-            }
-            (member.unicast ? member.unicast_cursor : member.patch_cursor) = cur + 1;
-            continue;
-          }
-          break;
-        }
-        co_await ctx.Compute(options_.cpu_per_chunk);
-        {
-          Member& fresh = members_[mi];  // re-take: vector may have moved
-          SendUnicast(fresh, static_cast<std::uint64_t>(cur), *buffered, ctx.Now(),
-                      /*retransmit=*/false);
-          (fresh.unicast ? fresh.unicast_cursor : fresh.patch_cursor) = cur + 1;
-          if (fresh.unicast) {
-            ++stats_.unicast_chunks;
-          } else {
-            ++stats_.patch_chunks;
-          }
-        }
-      }
+crsim::Task GroupSender::MemberWalk(crrt::ThreadContext& ctx, std::size_t mi) {
+  const auto count = static_cast<std::int64_t>(index_->count());
+  const crbase::Time last_deadline =
+      count > 0 ? crnet::ChunkDeadline(index_->at(static_cast<std::size_t>(count - 1))) : 0;
+  // Index access throughout: AddMember may grow members_ across suspension
+  // points.
+  for (;;) {
+    RefreshMember(members_[mi]);
+    const Member& member = members_[mi];
+    if (member.dead) {
+      break;
     }
-
-    // Phase 3: coded repair over the accumulated loss bitmaps.
-    if (ctx.Now() - last_repair >= options_.repair_interval) {
-      RepairTick();
-      last_repair = ctx.Now();
-    }
-
-    // Exit: all shipping done, then a short drain so in-flight reports can
-    // still be repaired.
-    bool shipping_done = !mgr->Alive(group_) || cursor_ >= count;
-    if (shipping_done) {
-      for (const Member& member : members_) {
-        if (member.dead) {
-          continue;
-        }
-        const std::int64_t limit =
-            member.unicast ? static_cast<std::int64_t>(count) : member.merge_chunk;
-        const std::int64_t cur = member.unicast ? member.unicast_cursor : member.patch_cursor;
-        if (cur < limit) {
-          shipping_done = false;
-          break;
-        }
-      }
-    }
-    // A member's reveal of a tail loss happens on its own playout clock,
-    // which trails the feed by its join offset — a fixed post-ship linger
-    // cannot cover a late joiner. Hold the drain countdown until every
-    // live member's clock is past the final chunk's deadline.
-    if (shipping_done && count > 0) {
-      const crbase::Time last_deadline =
-          crnet::ChunkDeadline(index->at(static_cast<std::size_t>(count - 1)));
-      for (const Member& member : members_) {
-        if (member.dead || !server_->HasSession(member.session)) {
-          continue;
-        }
-        if (server_->LogicalNow(member.session) <=
-            last_deadline + options_.playout_slack) {
-          shipping_done = false;
-          break;
-        }
-      }
-    }
-    if (shipping_done) {
-      if (drain_until == 0) {
-        drain_until = ctx.Now() + options_.lookahead + options_.drain;
-      } else if (ctx.Now() >= drain_until) {
+    const bool unicast = member.unicast;
+    const std::int64_t limit = unicast ? count : member.merge_chunk;
+    const std::int64_t cur = unicast ? member.unicast_cursor : member.patch_cursor;
+    const SessionId session = member.session;
+    if (cur >= limit) {
+      // Nothing (more) to ship on this member's own session. It rides the
+      // feed until its clock passes the final chunk's deadline — unless the
+      // server demotes or closes it first, which signals the session.
+      const crbase::Time done_at =
+          server_->RealTimeOf(session, last_deadline + options_.playout_slack + 1);
+      if (done_at <= ctx.Now()) {
         break;
       }
-    } else {
-      drain_until = 0;
+      co_await server_->WaitSession(session, done_at);
+      continue;
     }
-    co_await ctx.Sleep(options_.poll);
+    crnet::PacedChunk paced;
+    co_await crnet::PaceChunk(*server_, session, index_->at(static_cast<std::size_t>(cur)),
+                              options_.lookahead, &paced);
+    RefreshMember(members_[mi]);
+    if (members_[mi].dead || members_[mi].unicast != unicast) {
+      continue;  // closed or demoted while we waited: re-plan
+    }
+    if (paced.outcome == crnet::PaceOutcome::kSkip) {
+      ++stats_.chunks_skipped;
+      if (members_[mi].trace != nullptr) {
+        members_[mi].trace->Miss(cur, crobs::FrameStage::kSent);
+      }
+      (unicast ? members_[mi].unicast_cursor : members_[mi].patch_cursor) = cur + 1;
+      continue;
+    }
+    co_await ctx.Compute(options_.cpu_per_chunk);
+    Member& fresh = members_[mi];
+    SendUnicast(fresh, static_cast<std::uint64_t>(cur), *paced.chunk, ctx.Now(),
+                /*retransmit=*/false);
+    (unicast ? fresh.unicast_cursor : fresh.patch_cursor) = cur + 1;
+    if (unicast) {
+      ++stats_.unicast_chunks;
+    } else {
+      ++stats_.patch_chunks;
+    }
   }
+  --live_walks_;
+  walks_done_.Notify();
 }
 
 void GroupSender::AttachObs(crobs::Hub* hub, const std::string& name) {

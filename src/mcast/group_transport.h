@@ -25,6 +25,15 @@
 // member's own clock demotes the member to unicast — the sender calls
 // CrasServer::DemoteGroupMember, admission re-settles, and from then on the
 // member is served like a plain NPS stream. Never a silent miss.
+//
+// Nothing here polls. The sender's feed walk and each member's bridge or
+// unicast walk run as their own threads, each sleeping until the exact
+// real time its session's clock reaches the next chunk's ship time, or
+// until the server signals that session (data published, clock changed,
+// member demoted or closed). Coded repair runs on a timer armed by loss
+// reports. A receiver's report thread sleeps until its next due-sweep or
+// deadline time while nothing is missing, and on the report cadence while
+// something is.
 
 #ifndef SRC_MCAST_GROUP_TRANSPORT_H_
 #define SRC_MCAST_GROUP_TRANSPORT_H_
@@ -45,6 +54,7 @@
 #include "src/net/nps.h"
 #include "src/obs/obs.h"
 #include "src/rtmach/kernel.h"
+#include "src/sim/awaitables.h"
 #include "src/sim/task.h"
 
 namespace crmcast {
@@ -108,7 +118,9 @@ class GroupReceiver {
   struct Options {
     std::int64_t buffer_bytes = 4 << 20;
     crbase::Duration jitter_allowance = crbase::Milliseconds(100);
-    // Cadence of the loss-bitmap report thread (also the deadline sweep).
+    // Cadence of loss-bitmap reports (and deadline sweeps) while any chunk
+    // is incomplete; with nothing missing the thread sleeps until the next
+    // chunk's due sweep.
     crbase::Duration report_interval = crbase::Milliseconds(25);
     // A gap younger than this is assumed reordering, not loss.
     crbase::Duration reorder_grace = crbase::Milliseconds(10);
@@ -136,7 +148,10 @@ class GroupReceiver {
 
   // Spawns the report/sweep thread. Runs until Stop().
   crsim::Task Start();
-  void Stop() { stopped_ = true; }
+  void Stop() {
+    stopped_ = true;
+    wake_.Notify();
+  }
 
   // Packet arrival, invoked by the forward link's delivery events.
   void OnFragment(const crnet::NpsFragment& fragment);
@@ -193,6 +208,11 @@ class GroupReceiver {
   // chunks hold everything; abandoned ones hold nothing.
   bool Holds(std::uint64_t seq, int frag_index) const;
 
+  // Abandons what playout passed, runs the due sweep, sends the report.
+  void Sweep();
+  // When the report thread should next run.
+  crbase::Time NextWake() const;
+
   crrt::Kernel* kernel_;
   const crmedia::ChunkIndex* index_;
   Options options_;
@@ -203,13 +223,21 @@ class GroupReceiver {
   SessionId member_ = kNoSession;
   std::int64_t merge_chunk_ = 0;
   bool stopped_ = false;
+  // The report thread parks here. While it sleeps with nothing pending
+  // (`idle_`), the first fragment that leaves a chunk incomplete wakes it
+  // onto the report cadence — once per idle spell, not per fragment.
+  crsim::WaitList wake_;
+  bool idle_ = false;
+  bool idle_on_stopped_clock_ = false;
   std::map<std::uint64_t, Reassembly> pending_;
   std::set<std::uint64_t> done_;       // completed or abandoned
   std::set<std::uint64_t> abandoned_;  // subset of done_: holds no data
   // Gap trackers: every seq below a cursor has an entry or is done.
   std::uint64_t mcast_expected_ = 0;    // multicast stream, from merge_chunk_
   std::uint64_t unicast_expected_ = 0;  // bridge/unicast stream, from 0
-  std::uint64_t due_swept_ = 0;         // due sweep: playout-imminent check
+  // Due sweep cursor: every chunk below it is done, pending, or was
+  // placeholdered when its playout became imminent.
+  std::uint64_t due_swept_ = 0;
   GroupReceiverStats stats_;
   std::unique_ptr<ObsState> obs_;
   crobs::SessionTrace* ftrace_ = nullptr;
@@ -236,10 +264,11 @@ class GroupSender {
  public:
   struct Options {
     crbase::Duration lookahead = crbase::Milliseconds(250);
-    crbase::Duration poll = crbase::Milliseconds(5);
     std::int64_t max_packet_bytes = 8 * 1024;
     crbase::Duration cpu_per_chunk = crbase::Microseconds(150);
-    // Cadence of the coded-repair pass over accumulated loss reports.
+    // Cadence of the coded-repair pass over accumulated loss reports: a
+    // reported multicast loss is repaired at most this long after the
+    // previous pass.
     crbase::Duration repair_interval = crbase::Milliseconds(30);
     // How many recently multicast chunks stay repairable. A reported loss
     // older than this (and still in deadline on the member's clock) demotes
@@ -249,8 +278,9 @@ class GroupSender {
     // Cap on fragments XOR-ed into one parity packet.
     std::size_t max_window_entries = 16;
     // Extra linger after every member's clock has passed the final chunk's
-    // deadline, so reports and repairs already on the wire still land. The
-    // wait for the slowest member is clock-driven, not part of this knob.
+    // deadline, so reports and repairs already on the wire still land; the
+    // repair pass closes after it. The wait for the slowest member is
+    // clock-driven, not part of this knob.
     crbase::Duration drain = crbase::Seconds(1);
     // Receiver playout clocks trail their session clocks by the client's
     // chosen startup lag, which the server cannot observe. Deadline checks
@@ -266,14 +296,19 @@ class GroupSender {
   GroupSender(crrt::Kernel& kernel, cras::CrasServer& server, crnet::Link& forward);
   GroupSender(const GroupSender&) = delete;
   GroupSender& operator=(const GroupSender&) = delete;
+  // Cancels a pending repair pass (it rides the engine queue).
+  ~GroupSender();
 
   // Registers a member session and its client-host receiver. Call after the
   // server admitted the session into the group (any time, including while
   // the feed is already rolling — that is the late-join path).
   void AddMember(SessionId session, GroupReceiver& receiver);
 
-  // Spawns the transmitter thread for `group`, walking `index` to its end
-  // plus a short repair drain. The returned task may be awaited or dropped.
+  // Spawns the transmitter thread for `group`, walking `index` to its end,
+  // then waiting out every member's walk plus a short repair drain. Each
+  // member's bridge/unicast walk runs on a thread of its own (spawned here,
+  // or by AddMember once started). The returned task may be awaited or
+  // dropped.
   crsim::Task Start(GroupId group, const crmedia::ChunkIndex* index);
 
   // Loss-report arrival, invoked by a reverse link's delivery events.
@@ -318,7 +353,13 @@ class GroupSender {
     crobs::Counter* deduped_chunk_reads = nullptr;
   };
 
-  crsim::Task SenderThread(crrt::ThreadContext& ctx, const crmedia::ChunkIndex* index);
+  crsim::Task SenderThread(crrt::ThreadContext& ctx);
+  // One member's bridge (below its merge point) and, once demoted, unicast
+  // walk; then it waits out the member's clock past the final deadline.
+  crsim::Task MemberWalk(crrt::ThreadContext& ctx, std::size_t mi);
+  void SpawnWalk(std::size_t mi);
+  // Arms the next coded-repair pass, repair_interval after the last one.
+  void ArmRepair();
   // Fans one chunk out to every multicast-eligible member. Returns the
   // number of members it reached.
   std::size_t ShipMulticast(std::uint64_t seq, const cras::BufferedChunk& chunk,
@@ -326,7 +367,7 @@ class GroupSender {
   void SendUnicast(Member& member, std::uint64_t seq, const cras::BufferedChunk& chunk,
                    crbase::Time sent_at, bool retransmit);
   // Re-detects server-side state changes (demotions, closed sessions).
-  void RefreshMember(Member& member, const crmedia::ChunkIndex* index);
+  void RefreshMember(Member& member);
   void RetransmitUnicast(Member& member, const LossReportEntry& entry);
   void RepairTick();
   void PruneStore();
@@ -339,7 +380,13 @@ class GroupSender {
   GroupId group_ = kNoGroup;
   const crmedia::ChunkIndex* index_ = nullptr;
   std::uint64_t cursor_ = 0;  // next chunk the feed multicasts
+  bool started_ = false;
   std::vector<Member> members_;
+  std::size_t live_walks_ = 0;
+  crsim::WaitList walks_done_;  // notified as each member walk finishes
+  crsim::EventId repair_timer_ = crsim::kInvalidEventId;
+  crbase::Time last_repair_ = 0;
+  bool repair_closed_ = false;  // drained: no further repair passes
   std::map<std::uint64_t, StoredChunk> store_;
   std::set<std::uint64_t> skipped_;  // never sent; repair requests ignored
   GroupSenderStats stats_;

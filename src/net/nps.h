@@ -28,6 +28,13 @@
 // retransmissions never waste wire time. Without a reverse link the
 // protocol degrades to the classic best-effort NPS: an incomplete chunk is
 // abandoned after a short reordering grace.
+//
+// No loop here polls. The sender sleeps until the exact real time its
+// session's logical clock reaches the next chunk's ship time (the clock's
+// inverse), or until the server signals the session — data published,
+// clock started/stopped/seeked/re-rated, session closed or resumed — and
+// re-checks then. The receiver's timers are per gap, plus one tail sweep
+// per stream.
 
 #ifndef SRC_NET_NPS_H_
 #define SRC_NET_NPS_H_
@@ -66,6 +73,28 @@ inline crbase::Time ChunkDeadline(const crmedia::Chunk& chunk) {
   return chunk.timestamp + chunk.duration;
 }
 
+// What one paced step of a sender's walk found.
+enum class PaceOutcome {
+  kShip,  // the chunk is in hand
+  kSkip,  // the clock passed the chunk's playout deadline before it landed
+  kGone,  // the session is closed
+};
+
+struct PacedChunk {
+  PaceOutcome outcome = PaceOutcome::kGone;
+  std::optional<cras::BufferedChunk> chunk;  // set on kShip
+};
+
+// The paced walk every server-side sender (NpsSender, the group transport's
+// feed and member walks) runs per chunk: wait until `session`'s logical
+// clock is `lookahead` short of the chunk's timestamp, then take the chunk
+// from the shared buffer (crs_get), waiting on the session if it has not
+// landed yet. Every wait is exact — the clock's inverse, or a server signal
+// on the session — so the walk wakes once per chunk in steady state.
+crsim::Task PaceChunk(cras::CrasServer& server, cras::SessionId session,
+                      const crmedia::Chunk& chunk, crbase::Duration lookahead,
+                      PacedChunk* out);
+
 // One NPS packet: a fragment of chunk number `seq`. Every fragment carries
 // the full chunk metadata, so reassembly survives the loss of any subset.
 struct NpsFragment {
@@ -81,10 +110,13 @@ struct NpsFragment {
 
 // A repair request: the fragments of `seq` the receiver is still missing.
 // An empty `missing` list means "everything" (the whole chunk was lost and
-// the receiver does not know its fragment count).
+// the receiver does not know its fragment count). `playout` is the
+// receiver's logical clock when it sent the NAK: the sender judges the
+// playout deadline by the receiver's clock, which may trail the session's.
 struct NpsNak {
   std::uint64_t seq = 0;
   std::vector<int> missing;
+  crbase::Time playout = 0;
 };
 
 struct NpsReceiverStats {
@@ -121,7 +153,7 @@ class NpsReceiver {
   explicit NpsReceiver(crrt::Kernel& kernel);
   NpsReceiver(const NpsReceiver&) = delete;
   NpsReceiver& operator=(const NpsReceiver&) = delete;
-  // Cancels any pending NAK timers (they ride the engine queue).
+  // Cancels any pending NAK and tail timers (they ride the engine queue).
   ~NpsReceiver();
 
   // Packet arrival, invoked by the forward link's delivery events.
@@ -149,6 +181,22 @@ class NpsReceiver {
   // resolved (missed at kCompleted). Usually set by NpsSender::Start.
   void set_frame_trace(crobs::SessionTrace* trace);
   crobs::SessionTrace* frame_trace() const { return ftrace_; }
+
+  // The stream's chunk index — the client holds the control file it opened
+  // the stream with. With a reverse link connected it enables the tail
+  // sweep: gap detection learns of a lost chunk only from a later arrival,
+  // so nothing reveals a lost final chunk. Once the playout clock is within
+  // the jitter allowance of the final chunk, one timer per stream opens
+  // placeholders (and so NAKs) for every chunk after the last one seen.
+  // Set by NpsSender::Start.
+  void set_index(const crmedia::ChunkIndex* index) { index_ = index; }
+
+  // How long after the first sign of a chunk (its first fragment, or the
+  // gap that reveals it) this receiver's last NAK for it can reach the
+  // sender: the reordering grace plus every backoff step, max_naks NAKs in
+  // all, plus the reverse path's propagation, jitter and reorder delay.
+  // The sender retains sent chunks at least this long.
+  crbase::Duration NakWindow() const;
 
  private:
   // Reassembly state for one sequence number. A placeholder entry (created
@@ -187,6 +235,13 @@ class NpsReceiver {
   void OnTimer(std::uint64_t seq);
   void Complete(std::uint64_t seq, Reassembly& entry);
   void Abandon(std::uint64_t seq, Reassembly& entry);
+  // Logical time of the tail sweep: the final chunk's timestamp less the
+  // jitter allowance.
+  crbase::Time TailSweepAt() const;
+  // Arms the tail timer once the index, a repair path and a running clock
+  // are all there.
+  void MaybeArmTail();
+  void OnTailTimer();
 
   crrt::Kernel* kernel_;
   Options options_;
@@ -194,9 +249,16 @@ class NpsReceiver {
   cras::LogicalClock clock_;
   Link* reverse_ = nullptr;
   NpsSender* sender_ = nullptr;
+  const crmedia::ChunkIndex* index_ = nullptr;
   std::map<std::uint64_t, Reassembly> pending_;
   std::set<std::uint64_t> done_;  // delivered or abandoned
   std::uint64_t expected_next_ = 0;  // every seq below this has an entry or is done
+  // The highest sequence number whose chunk metadata arrived, and its chunk
+  // index: the tail sweep's anchor. -1 until a fragment arrives.
+  std::int64_t last_meta_seq_ = -1;
+  std::int64_t last_meta_chunk_ = -1;
+  crsim::EventId tail_timer_ = crsim::kInvalidEventId;
+  bool tail_swept_ = false;
   NpsReceiverStats stats_;
   std::unique_ptr<ObsState> obs_;
   crobs::SessionTrace* ftrace_ = nullptr;
@@ -220,7 +282,6 @@ class NpsSender {
     // How far ahead of the session's logical clock chunks are shipped;
     // hides the network serialization + propagation latency.
     crbase::Duration lookahead = crbase::Milliseconds(250);
-    crbase::Duration poll = crbase::Milliseconds(5);
     std::int64_t max_packet_bytes = 8 * 1024;  // fragmentation threshold
     crbase::Duration cpu_per_chunk = crbase::Microseconds(150);
     int priority = crrt::kPriorityServer - 1;  // below CRAS, above clients
@@ -236,13 +297,14 @@ class NpsSender {
   // end. The returned task may be awaited or dropped.
   crsim::Task Start(cras::SessionId session, const crmedia::ChunkIndex* index);
 
-  // Retain sent chunks (until their playout deadline) so NAKs can be
-  // answered. Called by NpsReceiver::ConnectReverse.
+  // Retain sent chunks (until the receiver can no longer ask for them) so
+  // NAKs can be answered. Called by NpsReceiver::ConnectReverse.
   void EnableRetransmit() { retransmit_enabled_ = true; }
 
   // Repair request arrival, invoked by the reverse link's delivery events.
-  // Retransmits the missing fragments — unless the chunk's playout deadline
-  // has passed, in which case the data is dropped here, at the sender.
+  // Retransmits the missing fragments — unless the receiver's clock (the
+  // NAK's `playout`) has passed the chunk's playout deadline, in which case
+  // the data is dropped here, at the sender.
   void OnNak(const NpsNak& nak);
 
   const NpsSenderStats& stats() const { return stats_; }
@@ -277,6 +339,10 @@ class NpsSender {
   crsim::Task SenderThread(crrt::ThreadContext& ctx, cras::SessionId session,
                            const crmedia::ChunkIndex* index);
   void SendFragment(const NpsFragment& fragment);
+  // Drops retained chunks the receiver can no longer ask for: its playout
+  // (the latest NAK's reading) is past their deadline, or its NAK window
+  // has closed on them.
+  void PruneStore();
 
   crrt::Kernel* kernel_;
   cras::CrasServer* server_;
@@ -288,6 +354,9 @@ class NpsSender {
   crobs::SessionTrace* ftrace_ = nullptr;  // cached from the server at Start
   std::uint64_t next_seq_ = 0;
   std::map<std::uint64_t, StoredChunk> store_;
+  // The receiver's playout clock as of its latest NAK; before any NAK,
+  // nothing is known to be past.
+  crbase::Time receiver_playout_ = INT64_MIN;
   // seq -> chunk index for every chunk ever sent. Identity must outlive the
   // retransmit store: the store prunes past-deadline entries, but the
   // receiver may only observe a wholly-lost chunk's sequence gap after a

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/random.h"
 #include "src/base/time_units.h"
 
 namespace cras {
@@ -104,6 +105,66 @@ TEST(LogicalClock, InitialDelayScalesWithRate) {
   engine.ScheduleAt(Seconds(1), [] {});
   engine.Run();
   EXPECT_EQ(clock.Now(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The exact inverse: RealTimeOf(x) is the first real time the clock reads x.
+
+TEST(LogicalClock, RealTimeOfIsTheExactInverseOverRandomClocks) {
+  crbase::Rng rng(20260419);
+  for (int trial = 0; trial < 400; ++trial) {
+    crsim::Engine engine;
+    LogicalClock clock(engine);
+    // Rates from 0.05x to 4x, in the clock's millionths, including awkward
+    // ones with no short binary or decimal expansion.
+    clock.SetRate(static_cast<double>(rng.NextInRange(50000, 4000000)) / 1e6);
+    engine.RunUntil(rng.NextInRange(0, Seconds(3)));
+    clock.Start(rng.NextInRange(0, Seconds(2)));  // initial delay
+    engine.RunUntil(engine.Now() + rng.NextInRange(0, Seconds(5)));
+    if (rng.NextBelow(2) == 0) {
+      clock.SeekTo(rng.NextInRange(-Seconds(10), Seconds(100)));
+    }
+    if (rng.NextBelow(3) == 0) {
+      clock.SetRate(static_cast<double>(rng.NextInRange(1, 3000000)) / 1e6);
+    }
+    const Time target = clock.Now() + rng.NextInRange(-Seconds(1), Seconds(20));
+    const Time at = clock.RealTimeOf(target);
+    ASSERT_NE(at, crbase::kNever);
+    ASSERT_GE(at, engine.Now());
+    if (at > engine.Now()) {
+      engine.RunUntil(at - 1);
+      ASSERT_LT(clock.Now(), target) << "trial " << trial << ": reached a nanosecond early";
+      engine.RunUntil(at);
+    }
+    ASSERT_GE(clock.Now(), target) << "trial " << trial << ": not reached at the inverse";
+  }
+}
+
+TEST(LogicalClock, RealTimeOfAStoppedClockIsNever) {
+  crsim::Engine engine;
+  LogicalClock clock(engine);
+  EXPECT_EQ(clock.RealTimeOf(Seconds(1)), crbase::kNever);  // never started
+  EXPECT_EQ(clock.RealTimeOf(0), 0) << "a reading already reached is reached now";
+  clock.Start(Seconds(1));
+  EXPECT_EQ(clock.RealTimeOf(0), Seconds(1));
+  engine.RunUntil(Milliseconds(500));
+  clock.Stop();
+  EXPECT_EQ(clock.RealTimeOf(0), crbase::kNever);
+  EXPECT_EQ(clock.RealTimeOf(-Seconds(1)), Milliseconds(500));
+  clock.Start();
+  EXPECT_EQ(clock.RealTimeOf(0), Seconds(1));
+}
+
+TEST(LogicalClock, RateRoundsToMillionths) {
+  crsim::Engine engine;
+  LogicalClock clock(engine);
+  clock.SetRate(1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(clock.rate(), 0.333333);
+  clock.Start();
+  engine.RunUntil(Seconds(3));
+  EXPECT_EQ(clock.Now(), Milliseconds(999) + crbase::Microseconds(999));
+  // One more logical nanosecond takes ceil(1e6 / 333333) real ones here.
+  EXPECT_EQ(clock.RealTimeOf(clock.Now() + 1), Seconds(3) + 4);
 }
 
 }  // namespace

@@ -45,6 +45,35 @@ TEST(PlayerStats, OnTimeBytesFiltersByThreshold) {
   EXPECT_EQ(stats.OnTimeBytes(0), 1000);
 }
 
+TEST(Player, LateFrameIsTakenTheInstantItIsPublished) {
+  // Logical zero 50 ms before the first interval's data is published: frame
+  // 0 is late. The player waits on the session, not on a poll timer, so it
+  // holds the frame at the exact instant the scheduler publishes it.
+  TestbedOptions bed_options;
+  bed_options.obs.frames.enabled = true;
+  Testbed bed(bed_options);
+  bed.StartServers();
+  auto file = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(3));
+  PlayerStats stats;
+  PlayerOptions options;
+  options.play_length = Seconds(2);
+  options.initial_delay = bed.cras_server.SuggestedInitialDelay() - Milliseconds(50);
+  crsim::Task player = SpawnCrasPlayer(bed.kernel, bed.cras_server, *file, options, &stats);
+  bed.engine().RunFor(Seconds(4));
+
+  ASSERT_FALSE(stats.frames.empty());
+  EXPECT_EQ(stats.frames_missed, 0);
+  const FrameRecord& first = stats.frames.front();
+  ASSERT_EQ(first.frame, 0);
+  EXPECT_GT(first.delay(), 0) << "frame 0 was late";
+  const crobs::SessionTrace* trace = bed.hub.frames().Find(/*session_id=*/1);
+  ASSERT_NE(trace, nullptr);
+  const crobs::FrameRecord* record = trace->Find(0);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(first.obtained_at,
+            record->stage[static_cast<int>(crobs::FrameStage::kPublished)]);
+}
+
 TEST(Player, UfsPlayerRespectsFrameStep) {
   Testbed bed;
   bed.StartServers();

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -349,6 +351,123 @@ TEST(McastIntegration, LateJoinerBridgesFromPrefixThenMerges) {
   EXPECT_NE(mcast_metrics.find("mcast.deduped_chunk_reads"), std::string::npos);
   EXPECT_EQ(mcast_metrics.find("link."), std::string::npos)
       << "prefix filtering leaked foreign metrics";
+}
+
+// ---------------------------------------------------------------------------
+// Integration: a member's bridge walk sleeps exactly until its session clock
+// reaches the next ship time, and clock changes re-target that sleep.
+
+TEST(McastIntegration, BridgeWalkRetargetsOnStopStartSeekAndSetRate) {
+  cras::TestbedOptions options = GroupedTestbedOptions();
+  options.obs.frames.enabled = true;  // kSent stamps time every send
+  cras::Testbed bed(options);
+  bed.StartServers();
+  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(16));
+  crnet::Link::Options forward_options;
+  forward_options.bandwidth_bytes_per_sec = 12.5e6;
+  crnet::Link forward(bed.engine(), forward_options);
+  const GroupSender::Options sender_options;
+  GroupSender sender(bed.kernel, bed.cras_server, forward, sender_options);
+  cras::CrasServer& server = bed.cras_server;
+
+  // A founds the group; B joins 4 s later and bridges ~120 chunks.
+  Viewer a, b;
+  std::vector<crsim::Task> tasks;
+  SpawnViewer(bed, sender, forward, movie, /*open_at=*/0, /*extra_delay=*/0, &a, &tasks);
+  SpawnViewer(bed, sender, forward, movie, /*open_at=*/Seconds(4), /*extra_delay=*/0, &b,
+              &tasks);
+  bed.engine().RunFor(Milliseconds(100));
+  tasks.push_back(sender.Start(bed.cras_server.mcast_groups()->GroupOf(a.session),
+                               &movie.index));
+  bed.engine().RunUntil(Seconds(6));
+  ASSERT_NE(b.session, cras::kInvalidSession);
+  ASSERT_GT(sender.stats().patch_chunks, 0) << "B is bridging";
+
+  auto control = [&](auto op) {
+    tasks.push_back(bed.kernel.Spawn(
+        "control", crrt::kPriorityClient, [op](crrt::ThreadContext&) -> crsim::Task {
+          const crbase::Status status = co_await op();
+          CRAS_CHECK(status.ok()) << status.ToString();
+        }));
+    bed.engine().RunFor(Milliseconds(2));  // the request manager's turn
+  };
+  // The member's next chunk leaves at the exact ship time on B's clock
+  // (plus the sender's CPU charge), not a poll later.
+  auto expect_send_exact = [&](std::int64_t chunk, const char* what) {
+    const crbase::Time ship_at = server.RealTimeOf(
+        b.session, movie.index.at(static_cast<std::size_t>(chunk)).timestamp -
+                       sender_options.lookahead);
+    ASSERT_NE(ship_at, crbase::kNever) << what;
+    bed.engine().RunUntil(std::max(bed.engine().Now(), ship_at) + Milliseconds(50));
+    const crobs::FrameRecord* record = server.FrameTrace(b.session)->Find(chunk);
+    ASSERT_NE(record, nullptr) << what;
+    const crbase::Time sent = record->stage[static_cast<int>(crobs::FrameStage::kSent)];
+    EXPECT_GE(sent - ship_at, sender_options.cpu_per_chunk) << what;
+    EXPECT_LT(sent - ship_at, sender_options.cpu_per_chunk + Milliseconds(1)) << what;
+  };
+  auto next_bridge_chunk = [&] {
+    return sender.stats().patch_chunks + sender.stats().unicast_chunks;
+  };
+
+  // Stop B: once the chunks already due have shipped (as their data lands,
+  // within an interval), the bridge pauses — nothing ships, nothing polls.
+  control([&] { return server.StopStream(b.session); });
+  bed.engine().RunFor(server.options().interval + Milliseconds(100));
+  const std::int64_t patched = sender.stats().patch_chunks;
+  bed.engine().RunFor(Seconds(1));
+  EXPECT_EQ(sender.stats().patch_chunks, patched);
+  // Start B: the parked walk wakes and the bridge resumes on time.
+  control([&] { return server.StartStream(b.session, 0); });
+  expect_send_exact(next_bridge_chunk(), "after start");
+
+  // Seek B past everything the feed has multicast: it leaves the group,
+  // and its walk turns unicast from the new position.
+  const crbase::Time seek_to = server.LogicalNow(b.session) + Seconds(8);
+  control([&] { return server.Seek(b.session, seek_to); });
+  EXPECT_EQ(bed.cras_server.mcast_groups()->GroupOf(b.session), kNoGroup);
+  bed.engine().RunFor(Seconds(1) + Milliseconds(100));
+  EXPECT_GT(sender.stats().unicast_chunks, 0) << "B is carried unicast after its seek";
+
+  // SetRate on the now-unicast B: the walk's pending sleep re-targets.
+  control([&] { return server.SetRate(b.session, 2.0); });
+  const std::int64_t next = movie.index.FindByTime(server.LogicalNow(b.session) +
+                                                   sender_options.lookahead) + 1;
+  expect_send_exact(next, "after set_rate");
+}
+
+// Two identical runs of a multi-member group fire the same events: the
+// wait lists wake in the order threads parked, never in pointer order.
+TEST(McastIntegration, IdenticalGroupRunsFireTheSameEventCount) {
+  auto run = [] {
+    cras::Testbed bed(GroupedTestbedOptions());
+    bed.StartServers();
+    const auto movie = *crmedia::WriteMpeg1File(bed.fs, "hot", Seconds(6));
+    crnet::Link::Options forward_options;
+    forward_options.bandwidth_bytes_per_sec = 12.5e6;
+    forward_options.impairments.loss_probability = 0.01;
+    crnet::Link forward(bed.engine(), forward_options);
+    GroupSender sender(bed.kernel, bed.cras_server, forward);
+    std::vector<Viewer> viewers(6);
+    std::vector<crsim::Task> tasks;
+    for (std::size_t i = 0; i < viewers.size(); ++i) {
+      SpawnViewer(bed, sender, forward, movie, Milliseconds(300) * static_cast<int>(i),
+                  /*extra_delay=*/0, &viewers[i], &tasks);
+    }
+    bed.engine().RunFor(Milliseconds(100));
+    tasks.push_back(sender.Start(bed.cras_server.mcast_groups()->GroupOf(viewers[0].session),
+                                 &movie.index));
+    bed.engine().RunFor(Seconds(12));
+    std::int64_t frames = 0;
+    for (const Viewer& v : viewers) {
+      frames += v.frames_ok;
+    }
+    return std::make_pair(bed.engine().events_fired(), frames);
+  };
+  const auto first = run();
+  const auto second = run();
+  EXPECT_GT(first.second, 0);
+  EXPECT_EQ(first.first, second.first);
+  EXPECT_EQ(first.second, second.second);
 }
 
 // ---------------------------------------------------------------------------

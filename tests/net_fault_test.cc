@@ -317,11 +317,12 @@ struct LossyQtPlayRig {
   NpsReceiver receiver;
   NpsSender sender;
 
-  explicit LossyQtPlayRig(const LinkImpairments& impairments, bool reliability)
+  explicit LossyQtPlayRig(const LinkImpairments& impairments, bool reliability,
+                          const NpsReceiver::Options& receiver_options = {})
       : client_host(server_host.engine(), crrt::Kernel::Options{}),
         forward(server_host.engine(), ImpairedOptions(impairments)),
         reverse(server_host.engine()),
-        receiver(client_host),
+        receiver(client_host, receiver_options),
         sender(server_host.kernel, server_host.cras_server, forward, receiver) {
     if (reliability) {
       receiver.ConnectReverse(reverse, sender);
@@ -439,6 +440,59 @@ TEST(NpsReliability, BlackoutTriggersDeadlineGiveUpThenRecovery) {
   EXPECT_GT(rig.receiver.stats().naks_sent, 0);
   // After recovery the stream runs clean again: the last frames all played.
   EXPECT_GT(result.frames_ok, 0);
+}
+
+TEST(NpsReliability, SenderJudgesNakDeadlinesByTheReceiversPlayout) {
+  // The receiver plays 200 ms behind the session clock (StreamMovie's
+  // slack) and, as on a jittery path, waits out a long reordering grace
+  // before NAKing. Its NAKs reach the sender after the *session* clock has
+  // passed the chunk's deadline but well before its own: judged (and
+  // pruned) by the session clock, they would land as naks_unknown and the
+  // frames would be lost.
+  NpsReceiver::Options receiver_options;
+  receiver_options.nak_delay = Milliseconds(280);
+  receiver_options.nak_backoff_cap = Milliseconds(280);
+  LinkImpairments impairments;
+  impairments.loss_probability = 0.01;
+  LossyQtPlayRig rig(impairments, /*reliability=*/true, receiver_options);
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(20));
+  ASSERT_TRUE(movie.ok());
+  const PlayResult result = StreamMovie(rig, *movie, Seconds(26));
+
+  ASSERT_GT(rig.receiver.stats().naks_sent, 0);
+  EXPECT_EQ(rig.sender.stats().naks_received, rig.receiver.stats().naks_sent);
+  EXPECT_EQ(rig.sender.stats().naks_unknown, 0);
+  EXPECT_EQ(rig.sender.stats().retransmits_abandoned, 0);
+  EXPECT_GT(rig.sender.stats().fragments_retransmitted, 0);
+  EXPECT_EQ(result.frames_missing, 0);
+}
+
+TEST(NpsReliability, LostFinalChunksAreNakedByTheTailSweep) {
+  // A blackout swallows the last chunks of the stream: no later packet
+  // reveals them as a sequence gap, so only the receiver's tail sweep —
+  // its playout clock nearing the final chunk — can ask for them.
+  LossyQtPlayRig rig(LinkImpairments{}, /*reliability=*/true);
+  crfault::FaultPlan plan;
+  // Chunks ship 250 ms ahead of a session clock that reads zero at ~1 s:
+  // the final four (timestamps 5.87-5.97 s) leave between 6.6 and 6.9 s.
+  plan.LinkLoss(Milliseconds(6600), 1.0).LinkRecover(Milliseconds(6900));
+  crfault::FaultInjector injector(rig.server_host.engine(), rig.forward, plan);
+  injector.Arm();
+  auto movie = crmedia::WriteMpeg1File(rig.server_host.fs, "movie", Seconds(6));
+  ASSERT_TRUE(movie.ok());
+  const PlayResult result = StreamMovie(rig, *movie, Seconds(12));
+
+  ASSERT_GT(rig.forward.stats().wire_drops, 0);
+  EXPECT_GT(rig.receiver.stats().naks_sent, 0);
+  EXPECT_EQ(rig.receiver.stats().chunks_received,
+            static_cast<std::int64_t>(movie->index.count()))
+      << "every lost tail chunk was repaired";
+  EXPECT_EQ(rig.receiver.incomplete_chunks(), 0u);
+  // The sweep runs a jitter allowance before the final chunk is due, so
+  // the final frames play; a chunk due at the sweep itself may be late.
+  EXPECT_LE(result.frames_missing, 2);
+  EXPECT_EQ(result.frames_ok + result.frames_missing,
+            static_cast<std::int64_t>(movie->index.count()));
 }
 
 // ---------------------------------------------------------------------------

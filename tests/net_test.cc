@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -183,6 +184,93 @@ TEST(Nps, StreamsAMovieAcrossTheLink) {
   // A 1.5 Mb/s stream fits a 10 Mb/s link with plenty of headroom.
   EXPECT_LT(rig.ethernet.Utilization(), 0.35);
   EXPECT_LT(rig.receiver.stats().max_network_latency, Milliseconds(60));
+}
+
+// The sender sleeps exactly until its session clock reaches the next
+// chunk's ship time; a clock change re-targets that sleep at once.
+TEST(Nps, ExactSleepRetargetsOnStopStartSetRateAndSeek) {
+  cras::TestbedOptions options;
+  options.obs.frames.enabled = true;  // kSent stamps time every send
+  cras::Testbed bed(options);
+  crrt::Kernel client_host(bed.engine(), crrt::Kernel::Options{});
+  Link ethernet(bed.engine());
+  NpsReceiver receiver(client_host);
+  NpsSender sender(bed.kernel, bed.cras_server, ethernet, receiver);
+  bed.StartServers();
+  auto movie = crmedia::WriteMpeg1File(bed.fs, "movie", Seconds(20));
+  ASSERT_TRUE(movie.ok());
+  cras::CrasServer& server = bed.cras_server;
+  const NpsSender::Options sender_options;
+
+  cras::SessionId session = cras::kInvalidSession;
+  crsim::Task opener = bed.kernel.Spawn(
+      "qtserver", crrt::kPriorityClient, [&](crrt::ThreadContext&) -> crsim::Task {
+        cras::OpenParams params;
+        params.inode = movie->inode;
+        params.index = movie->index;
+        auto opened = co_await server.Open(std::move(params));
+        CRAS_CHECK(opened.ok());
+        session = *opened;
+        (void)co_await server.StartStream(session, server.SuggestedInitialDelay());
+      });
+  bed.engine().RunFor(Milliseconds(50));
+  ASSERT_NE(session, cras::kInvalidSession);
+  crsim::Task sender_task = sender.Start(session, &movie->index);
+  std::vector<crsim::Task> controls;
+  auto control = [&](auto op) {
+    controls.push_back(bed.kernel.Spawn(
+        "control", crrt::kPriorityClient, [op](crrt::ThreadContext&) -> crsim::Task {
+          const crbase::Status status = co_await op();
+          CRAS_CHECK(status.ok()) << status.ToString();
+        }));
+    bed.engine().RunFor(Milliseconds(2));  // the request manager's turn
+  };
+  // The next unsent chunk must leave at the exact real time the clock
+  // reaches its ship time (plus the sender's CPU charge), not a poll later.
+  auto expect_next_send_exact = [&](const char* what) {
+    const auto next = static_cast<std::size_t>(sender.stats().chunks_sent +
+                                               sender.stats().chunks_skipped);
+    const crbase::Time ship_at = server.RealTimeOf(
+        session, movie->index.at(next).timestamp - sender_options.lookahead);
+    ASSERT_NE(ship_at, crbase::kNever) << what;
+    bed.engine().RunUntil(std::max(bed.engine().Now(), ship_at) + Milliseconds(50));
+    const crobs::FrameRecord* record =
+        server.FrameTrace(session)->Find(static_cast<std::int64_t>(next));
+    ASSERT_NE(record, nullptr) << what;
+    const crbase::Time sent = record->stage[static_cast<int>(crobs::FrameStage::kSent)];
+    EXPECT_GE(sent - ship_at, sender_options.cpu_per_chunk) << what;
+    EXPECT_LT(sent - ship_at, sender_options.cpu_per_chunk + Milliseconds(1)) << what;
+  };
+
+  bed.engine().RunUntil(Seconds(2));
+  expect_next_send_exact("steady state");
+
+  // Stop: nothing ships while the clock is frozen, and nothing polls.
+  control([&] { return server.StopStream(session); });
+  const std::int64_t sent_at_stop = sender.stats().chunks_sent;
+  const std::uint64_t events_at_stop = bed.engine().events_fired();
+  bed.engine().RunFor(Seconds(2));
+  EXPECT_EQ(sender.stats().chunks_sent, sent_at_stop);
+  // Only the server's own interval ticks run: no sender wakeups.
+  EXPECT_LT(bed.engine().events_fired() - events_at_stop, 40u);
+
+  // Start wakes the parked walk; the next chunk ships on the exact time.
+  control([&] { return server.StartStream(session, 0); });
+  expect_next_send_exact("after start");
+
+  // Double speed: the pending sleep re-targets to the earlier real time.
+  control([&] { return server.SetRate(session, 2.0); });
+  expect_next_send_exact("after set_rate");
+
+  // A seek ahead skips the passed-over chunks at once, then ships from the
+  // new position as soon as its data is published.
+  const std::int64_t skipped_before = sender.stats().chunks_skipped;
+  control([&] { return server.Seek(session, server.LogicalNow(session) + Seconds(5)); });
+  EXPECT_GT(sender.stats().chunks_skipped, skipped_before + 100)
+      << "the walk woke on the seek, not on a stale timer";
+  const std::int64_t sent_at_seek = sender.stats().chunks_sent;
+  bed.engine().RunFor(Seconds(1) + Milliseconds(100));
+  EXPECT_GT(sender.stats().chunks_sent, sent_at_seek);
 }
 
 TEST(Nps, FragmentsLargeChunks) {
