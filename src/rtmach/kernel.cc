@@ -18,17 +18,17 @@ Kernel::Kernel(crsim::Engine& shared_engine, const Options& options)
 
 crsim::Task Kernel::Spawn(std::string name, int priority,
                           std::function<crsim::Task(ThreadContext&)> body) {
-  auto record = std::make_unique<ThreadRecord>(*this, std::move(name), priority);
-  ThreadContext& context = record->context;
-  threads_.push_back(std::move(record));
   ++live_threads_;
-  // Wrap the body so thread exit is observable for diagnostics.
-  auto wrapper = [](Kernel* kernel, ThreadContext* ctx,
+  // The wrapper's frame owns the thread's context, so the context lives
+  // exactly as long as the thread: it is freed when the body finishes, or
+  // when a thread still parked at teardown has its frame destroyed.
+  auto wrapper = [](Kernel* kernel, std::unique_ptr<ThreadContext> ctx,
                     std::function<crsim::Task(ThreadContext&)> fn) -> crsim::Task {
     co_await fn(*ctx);
     --kernel->live_threads_;
   };
-  return wrapper(this, &context, std::move(body));
+  return wrapper(this, std::make_unique<ThreadContext>(*this, std::move(name), priority),
+                 std::move(body));
 }
 
 void Kernel::WireMemory(const std::string& owner, std::int64_t bytes) {

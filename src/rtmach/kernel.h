@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/base/time_units.h"
 #include "src/sim/awaitables.h"
@@ -87,8 +86,8 @@ class Kernel {
   crsim::Cpu& cpu() { return cpu_; }
   Time Now() const { return engine_->Now(); }
 
-  // Spawns a named thread. The ThreadContext outlives the coroutine; the
-  // returned Task may be awaited (join) or dropped (detach).
+  // Spawns a named thread. The ThreadContext lives as long as the thread's
+  // coroutine; the returned Task may be awaited (join) or dropped (detach).
   crsim::Task Spawn(std::string name, int priority,
                     std::function<crsim::Task(ThreadContext&)> body);
 
@@ -100,16 +99,9 @@ class Kernel {
   std::size_t live_threads() const { return live_threads_; }
 
  private:
-  struct ThreadRecord {
-    ThreadContext context;
-    ThreadRecord(Kernel& k, std::string name, int priority)
-        : context(k, std::move(name), priority) {}
-  };
-
   std::unique_ptr<crsim::Engine> owned_engine_;  // null when sharing
   crsim::Engine* engine_;
   crsim::Cpu cpu_;
-  std::vector<std::unique_ptr<ThreadRecord>> threads_;
   std::size_t live_threads_ = 0;
   std::int64_t wired_bytes_ = 0;
 };

@@ -58,8 +58,7 @@ class Mutex {
     LockAwaiter* next = *best;
     waiters_.erase(best);
     holder_priority_ = next->priority;
-    std::coroutine_handle<> h = next->handle;
-    kernel_->engine().ScheduleAfter(0, [h] { h.resume(); });
+    kernel_->engine().ScheduleResumeAfter(0, next->handle);
   }
 
   // CPU work performed while holding the lock. The request is tagged with

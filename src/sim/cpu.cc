@@ -109,8 +109,7 @@ void Cpu::Dispatch() {
   slice_start_ = engine_->Now();
   slice_len_ = policy_ == SchedPolicy::kRoundRobin ? std::min(current_.remaining, quantum_)
                                                    : current_.remaining;
-  const std::uint64_t gen = ++generation_;
-  engine_->ScheduleAfter(slice_len_, [this, gen] { OnSliceEnd(gen); });
+  slice_end_ = engine_->ScheduleAfter(slice_len_, [this] { OnSliceEnd(); });
 }
 
 void Cpu::PreemptRunning() {
@@ -118,13 +117,12 @@ void Cpu::PreemptRunning() {
   const Duration elapsed = engine_->Now() - slice_start_;
   busy_time_ += elapsed;
   current_.remaining -= elapsed;
-  ++generation_;  // invalidate the pending slice-end event
+  engine_->Cancel(slice_end_);
   running_ = false;
   if (current_.remaining <= 0) {
     // The preemption arrived at the exact instant the slice completed, but
     // before its completion event fired: the request is done.
-    std::coroutine_handle<> h = current_.handle;
-    engine_->ScheduleAfter(0, [h] { h.resume(); });
+    engine_->ScheduleResumeAfter(0, current_.handle);
     return;
   }
   // Re-gets a fresh sequence number: a preempted round-robin thread goes to
@@ -135,17 +133,13 @@ void Cpu::PreemptRunning() {
   ready_.push_back(current_);
 }
 
-void Cpu::OnSliceEnd(std::uint64_t generation) {
-  if (generation != generation_) {
-    return;  // stale: the slice was preempted
-  }
+void Cpu::OnSliceEnd() {
   CRAS_CHECK(running_);
   busy_time_ += slice_len_;
   current_.remaining -= slice_len_;
   running_ = false;
   if (current_.remaining <= 0) {
-    std::coroutine_handle<> h = current_.handle;
-    engine_->ScheduleAfter(0, [h] { h.resume(); });
+    engine_->ScheduleResumeAfter(0, current_.handle);
   } else {
     // Quantum expiry under round-robin: back of the queue.
     current_.seq = next_seq_++;

@@ -5,6 +5,12 @@
 // wakeups, disk completions, CPU slice expirations — is an event. Execution
 // is strictly deterministic: events at equal timestamps fire in scheduling
 // order (FIFO by sequence number).
+//
+// Layout: the binary heap holds only 16-byte (time, id) keys. An event's
+// callback and parked frame live in a slot of `slots_`, recycled through a
+// free list. An id is `sequence << kSlotBits | slot`, so ids compare in
+// scheduling order and name their slot. Cancel() frees the slot at once; a
+// popped key whose slot no longer holds its id is stale and is skipped.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -12,8 +18,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/time_units.h"
@@ -57,13 +61,10 @@ class Engine {
   EventId ScheduleAt(Time t, Callback cb, std::coroutine_handle<> parked);
   EventId ScheduleAfter(Duration d, Callback cb, std::coroutine_handle<> parked);
 
-  // The common pure-wakeup form: the event just resumes `h`.
-  EventId ScheduleResumeAt(Time t, std::coroutine_handle<> h) {
-    return ScheduleAt(t, [h] { h.resume(); }, h);
-  }
-  EventId ScheduleResumeAfter(Duration d, std::coroutine_handle<> h) {
-    return ScheduleAfter(d, [h] { h.resume(); }, h);
-  }
+  // The common pure-wakeup form: the event just resumes `h`. It carries no
+  // callback, only the parked handle.
+  EventId ScheduleResumeAt(Time t, std::coroutine_handle<> h);
+  EventId ScheduleResumeAfter(Duration d, std::coroutine_handle<> h);
 
   // Cancels a pending event. Cancelling an already-fired or unknown id is a
   // no-op (events self-expire), which keeps "cancel my timeout" call sites
@@ -85,34 +86,50 @@ class Engine {
   // Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
 
-  std::size_t pending_events() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending_events() const { return pending_; }
   std::uint64_t events_fired() const { return events_fired_; }
 
  private:
-  struct Event {
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+
+  struct Key {
     Time time;
     EventId id;
-    Callback cb;
-    std::coroutine_handle<> parked{};  // frame waiting on this event, if any
   };
+  static_assert(sizeof(Key) == 16);
+  // Orders the heap so its front is the earliest key, FIFO among equal times.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) {
         return a.time > b.time;
       }
       return a.id > b.id;
     }
   };
+  // A free slot has id kInvalidEventId, no callback and no parked handle.
+  struct Slot {
+    EventId id = kInvalidEventId;
+    Callback cb;                       // empty for a pure resume
+    std::coroutine_handle<> parked{};  // frame waiting on this event, if any
+  };
 
-  // Pops and runs the top event; assumes the queue is non-empty.
-  void FireTop();
+  // Claims a slot for an event at `t` (clamped to Now()) and pushes its key.
+  EventId Push(Time t, std::coroutine_handle<> parked);
+  // Frees the slot of a pending event, handing back its contents.
+  Slot Release(std::uint64_t index);
+  // Pops the top key and runs its event; assumes the heap is non-empty.
+  // Returns false if the key was stale (its event was cancelled).
+  bool FireTop();
 
   Time now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_sequence_ = 1;
   std::uint64_t events_fired_ = 0;
+  std::size_t pending_ = 0;
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace crsim

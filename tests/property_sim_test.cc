@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/base/random.h"
@@ -45,6 +48,79 @@ TEST_P(EngineOrdering, RandomScheduleAndCancelFiresInOrder) {
     EXPECT_LE(fired[i - 1].first, fired[i].first) << "time went backwards";
     EXPECT_LT(fired[i - 1].second, fired[i].second) << "callback ran twice or out of order";
   }
+}
+
+// Schedules, fires and cancels interleave, the callbacks themselves
+// scheduling and cancelling, and every step is checked against a reference
+// model: an ordered set of pending (time, schedule order, tag). Cancels aim
+// at pending ids, at ids already fired or cancelled, and at a callback's own
+// fired id right after it scheduled more — the case where the old id's slot
+// now holds a newer event, which the cancel must leave alone.
+TEST_P(EngineOrdering, InterleavedScheduleFireAndCancelMatchModel) {
+  using Key = std::tuple<crbase::Time, std::uint64_t, std::size_t>;  // (time, order, tag)
+  crsim::Engine engine;
+  crbase::Rng rng(GetParam());
+  std::set<Key> model;
+  std::vector<Key> keys;             // by tag
+  std::vector<crsim::EventId> ids;   // by tag
+  std::vector<std::size_t> fired;    // tags in firing order
+  std::uint64_t order = 0;
+  constexpr std::size_t kMaxEvents = 3000;
+
+  std::function<void(std::size_t)> on_fire;
+  auto schedule = [&] {
+    if (ids.size() >= kMaxEvents) {
+      return;
+    }
+    const std::size_t tag = ids.size();
+    const crbase::Time t =
+        engine.Now() + static_cast<crbase::Time>(rng.NextBelow(20)) * Milliseconds(1);
+    keys.push_back({t, order++, tag});
+    model.insert(keys.back());
+    ids.push_back(engine.ScheduleAt(t, [&on_fire, tag] { on_fire(tag); }));
+  };
+  auto cancel = [&](std::size_t tag) {
+    model.erase(keys[tag]);  // no-op once fired or cancelled
+    engine.Cancel(ids[tag]);
+  };
+  on_fire = [&](std::size_t tag) {
+    ASSERT_FALSE(model.empty()) << "event " << tag << " fired with nothing pending";
+    const auto [time, ignored, expected] = *model.begin();
+    ASSERT_EQ(tag, expected) << "wrong event fired";
+    EXPECT_EQ(engine.Now(), time);
+    model.erase(model.begin());
+    fired.push_back(tag);
+    for (std::uint64_t n = rng.NextBelow(3); n > 0; --n) {
+      schedule();
+    }
+    if (rng.NextBelow(2) == 0) {
+      cancel(tag);  // already fired; its slot may now hold an event just scheduled
+    }
+    if (rng.NextBelow(3) == 0) {
+      cancel(rng.NextBelow(ids.size()));
+    }
+    EXPECT_EQ(engine.pending_events(), model.size());
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint64_t action = rng.NextBelow(20);
+    if (action < 6) {
+      schedule();
+    } else if (action < 9 && !ids.empty()) {
+      cancel(rng.NextBelow(ids.size()));
+    } else {
+      const bool had_pending = !model.empty();
+      const std::size_t fired_before = fired.size();
+      EXPECT_EQ(engine.Step(), had_pending);
+      EXPECT_EQ(fired.size(), fired_before + (had_pending ? 1 : 0));
+    }
+    ASSERT_EQ(engine.pending_events(), model.size()) << "after step " << step;
+  }
+  engine.Run();
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.events_fired(), fired.size());
+  EXPECT_GT(fired.size(), 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineOrdering, ::testing::Values(1u, 2u, 3u, 5u, 8u));

@@ -150,5 +150,29 @@ TEST(Mutex, NoInheritanceKeepsHolderPriority) {
   kernel.engine().RunFor(Milliseconds(5));
 }
 
+// A hand-off still queued when the engine is destroyed reclaims the
+// waiter's frame (leak detection would report it otherwise).
+TEST(Mutex, HandOffPendingAtTeardownIsReclaimed) {
+  Kernel kernel;
+  Mutex mutex(kernel, Mutex::Protocol::kNone);
+  bool acquired = false;
+  crsim::Task holder = kernel.Spawn("holder", 5, [&](ThreadContext& ctx) -> crsim::Task {
+    co_await mutex.Lock(ctx);
+    co_await ctx.Sleep(Milliseconds(10));
+    mutex.Unlock();
+    ctx.kernel().engine().Stop();
+  });
+  crsim::Task waiter = kernel.Spawn("waiter", 5, [&](ThreadContext& ctx) -> crsim::Task {
+    co_await ctx.Sleep(Milliseconds(1));
+    co_await mutex.Lock(ctx);
+    acquired = true;
+    mutex.Unlock();
+  });
+  kernel.engine().Run();
+  EXPECT_FALSE(acquired);
+  EXPECT_EQ(kernel.engine().pending_events(), 1u);  // the hand-off
+  EXPECT_EQ(kernel.live_threads(), 1u);
+}
+
 }  // namespace
 }  // namespace crrt

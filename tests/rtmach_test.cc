@@ -49,6 +49,37 @@ TEST(Kernel, ComputeChargesCpuAtThreadPriority) {
   EXPECT_EQ(completion_order[0], "hi");
 }
 
+// Each thread's context belongs to its coroutine frame: finished threads
+// leave nothing behind, and a detached thread still parked when the kernel
+// is destroyed is reclaimed with its context (leak detection checks both).
+TEST(Kernel, ThreadContextsLiveExactlyAsLongAsTheirThreads) {
+  int finished = 0;
+  {
+    Kernel kernel;
+    for (int i = 0; i < 200; ++i) {
+      kernel
+          .Spawn("short" + std::to_string(i), kPriorityClient,
+                 [&finished, i](ThreadContext& ctx) -> crsim::Task {
+                   co_await ctx.Sleep(Milliseconds(i % 7));
+                   co_await ctx.Compute(Milliseconds(1));
+                   ++finished;
+                 })
+          .Detach();
+    }
+    kernel.engine().Run();
+    EXPECT_EQ(finished, 200);
+    EXPECT_EQ(kernel.live_threads(), 0u);
+
+    kernel
+        .Spawn("parked", kPriorityServer,
+               [](ThreadContext& ctx) -> crsim::Task { co_await ctx.Sleep(Seconds(60)); })
+        .Detach();
+    kernel.engine().RunFor(Seconds(1));
+    EXPECT_EQ(kernel.live_threads(), 1u);
+  }
+  EXPECT_EQ(finished, 200);
+}
+
 TEST(Kernel, WiredMemoryAccounting) {
   Kernel kernel;
   kernel.WireMemory("cras", 250 * 1024);

@@ -175,5 +175,48 @@ TEST(Cpu, LoadReportsQueuedAndRunning) {
   EXPECT_EQ(cpu.load(), 0u);
 }
 
+// A slice that has finished but whose resume is still queued when the
+// engine is destroyed reclaims the request's frame.
+TEST(Cpu, FinishedSlicePendingAtTeardownIsReclaimed) {
+  Engine e;
+  Cpu cpu(e, SchedPolicy::kFixedPriority);
+  std::vector<Completion> log;
+  Task t = Work(cpu, 5, Milliseconds(10), "a", e, &log);
+  // Fires after the slice end at the same instant, before the resume.
+  e.ScheduleAt(Milliseconds(10), [&] { e.Stop(); });
+  e.Run();
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(cpu.load(), 0u);
+  EXPECT_EQ(e.pending_events(), 1u);  // the resume
+}
+
+// A preemption at the instant a slice completes finishes the request and
+// cancels its slice-end event rather than leaving a no-op queued.
+TEST(Cpu, PreemptionAtSliceEndCancelsTheSliceEvent) {
+  Engine e;
+  Cpu cpu(e, SchedPolicy::kFixedPriority);
+  std::vector<Completion> log;
+  Task hi = [](Engine& eng, Cpu& c, std::vector<Completion>* out) -> Task {
+    co_await Sleep(eng, Milliseconds(10));
+    co_await c.Run(9, Milliseconds(5));
+    out->push_back({"hi", eng.Now()});
+  }(e, cpu, &log);
+  Task lo = Work(cpu, 1, Milliseconds(10), "lo", e, &log);
+  e.RunUntil(Milliseconds(10) - 1);
+  // hi's wakeup precedes lo's slice end at t=10: lo is done, hi runs, and
+  // only lo's resume and hi's slice end are queued.
+  ASSERT_TRUE(e.Step());
+  EXPECT_EQ(e.Now(), Milliseconds(10));
+  EXPECT_EQ(e.pending_events(), 2u);
+  e.Run();
+  EXPECT_EQ(e.events_fired(), 4u);  // hi's wakeup, lo's resume, hi's slice end and resume
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].name, "lo");
+  EXPECT_EQ(log[0].at, Milliseconds(10));
+  EXPECT_EQ(log[1].name, "hi");
+  EXPECT_EQ(log[1].at, Milliseconds(15));
+  EXPECT_EQ(cpu.busy_time(), Milliseconds(15));
+}
+
 }  // namespace
 }  // namespace crsim

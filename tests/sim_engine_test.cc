@@ -77,6 +77,7 @@ TEST(Engine, CancelUnknownIdIsNoop) {
   e.Cancel(9999);
   bool fired = false;
   e.ScheduleAfter(0, [&] { fired = true; });
+  EXPECT_EQ(e.pending_events(), 1u);
   e.Run();
   EXPECT_TRUE(fired);
 }
