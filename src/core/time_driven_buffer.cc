@@ -1,6 +1,7 @@
 #include "src/core/time_driven_buffer.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/base/logging.h"
 
@@ -54,22 +55,47 @@ void TimeDrivenBuffer::RecordOccupancy() {
   }
 }
 
+void TimeDrivenBuffer::PopFront() {
+  ++head_;
+  if (head_ == chunks_.size()) {
+    chunks_.clear();
+    head_ = 0;
+  }
+}
+
+std::vector<TimeDrivenBuffer::Entry>::iterator TimeDrivenBuffer::FirstAfter(Time t) {
+  return std::upper_bound(chunks_.begin() + static_cast<std::ptrdiff_t>(head_), chunks_.end(), t,
+                          [](Time at, const Entry& e) { return at < e.chunk.timestamp; });
+}
+
+void TimeDrivenBuffer::Insert(const BufferedChunk& chunk) {
+  if (head_ == chunks_.size() || chunks_.back().chunk.timestamp < chunk.timestamp) {
+    if (chunks_.size() == chunks_.capacity() && head_ * 2 >= chunks_.size()) {
+      // At least half the vector is discarded prefix: slide the live range
+      // down instead of growing.
+      chunks_.erase(chunks_.begin(), chunks_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    chunks_.push_back(Entry{chunk, false});
+    return;
+  }
+  chunks_.insert(FirstAfter(chunk.timestamp), Entry{chunk, false});
+}
+
 void TimeDrivenBuffer::DiscardObsolete(Time logical_now) {
   const Time discard_before = logical_now - jitter_allowance_;
-  auto it = chunks_.begin();
   std::int64_t discarded = 0;
-  while (it != chunks_.end()) {
-    const BufferedChunk& c = it->second.chunk;
-    if (c.timestamp + c.duration <= discard_before) {
-      resident_bytes_ -= c.size;
-      ++stats_.discarded_obsolete;
-      ++discarded;
-      NoteDropped(it->second);
-      it = chunks_.erase(it);
-    } else {
-      // Keyed by timestamp: everything later is still live.
+  while (head_ < chunks_.size()) {
+    const Entry& front = chunks_[head_];
+    if (front.chunk.timestamp + front.chunk.duration > discard_before) {
+      // Timestamp order: everything later is still live.
       break;
     }
+    resident_bytes_ -= front.chunk.size;
+    ++stats_.discarded_obsolete;
+    ++discarded;
+    NoteDropped(front);
+    PopFront();
   }
   if (discarded > 0 && obs_ != nullptr) {
     obs_->discarded->Add(discarded);
@@ -90,23 +116,26 @@ void TimeDrivenBuffer::Put(const BufferedChunk& chunk, Time logical_now) {
   }
   // A duplicate put (e.g. after a seek re-fetches a window) replaces the
   // resident copy.
-  auto existing = chunks_.find(chunk.timestamp);
-  if (existing != chunks_.end()) {
-    resident_bytes_ -= existing->second.chunk.size;
-    chunks_.erase(existing);
-    ++stats_.replaced;
+  if (head_ < chunks_.size() && chunk.timestamp <= chunks_.back().chunk.timestamp) {
+    const auto after = FirstAfter(chunk.timestamp);
+    if (after != chunks_.begin() + static_cast<std::ptrdiff_t>(head_) &&
+        std::prev(after)->chunk.timestamp == chunk.timestamp) {
+      resident_bytes_ -= std::prev(after)->chunk.size;
+      chunks_.erase(std::prev(after));
+      ++stats_.replaced;
+    }
   }
-  while (resident_bytes_ + chunk.size > capacity_bytes_ && !chunks_.empty()) {
-    auto oldest = chunks_.begin();
-    resident_bytes_ -= oldest->second.chunk.size;
-    NoteDropped(oldest->second);
-    chunks_.erase(oldest);
+  while (resident_bytes_ + chunk.size > capacity_bytes_ && head_ < chunks_.size()) {
+    const Entry& oldest = chunks_[head_];
+    resident_bytes_ -= oldest.chunk.size;
+    NoteDropped(oldest);
+    PopFront();
     ++stats_.overflow_evictions;
     if (obs_ != nullptr) {
       obs_->evictions->Add();
     }
   }
-  chunks_.emplace(chunk.timestamp, Entry{chunk, false});
+  Insert(chunk);
   resident_bytes_ += chunk.size;
   stats_.max_resident_bytes = std::max(stats_.max_resident_bytes, resident_bytes_);
   ++stats_.puts;
@@ -118,24 +147,25 @@ void TimeDrivenBuffer::Put(const BufferedChunk& chunk, Time logical_now) {
 
 std::optional<BufferedChunk> TimeDrivenBuffer::Get(Time t) {
   // Last chunk with timestamp <= t whose interval covers t.
-  auto it = chunks_.upper_bound(t);
-  if (it == chunks_.begin()) {
+  auto it = FirstAfter(t);
+  if (it == chunks_.begin() + static_cast<std::ptrdiff_t>(head_)) {
     ++stats_.get_misses;
     return std::nullopt;
   }
   --it;
-  const BufferedChunk& c = it->second.chunk;
+  const BufferedChunk& c = it->chunk;
   if (t >= c.timestamp + c.duration) {
     ++stats_.get_misses;
     return std::nullopt;
   }
-  it->second.taken = true;
+  it->taken = true;
   ++stats_.get_hits;
   return c;
 }
 
 void TimeDrivenBuffer::Clear() {
   chunks_.clear();
+  head_ = 0;
   resident_bytes_ = 0;
   RecordOccupancy();
 }

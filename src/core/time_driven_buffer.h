@@ -16,10 +16,10 @@
 #define SRC_CORE_TIME_DRIVEN_BUFFER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/base/time_units.h"
 #include "src/obs/obs.h"
@@ -58,7 +58,7 @@ class TimeDrivenBuffer {
 
   std::int64_t capacity_bytes() const { return capacity_bytes_; }
   std::int64_t resident_bytes() const { return resident_bytes_; }
-  std::size_t resident_chunks() const { return chunks_.size(); }
+  std::size_t resident_chunks() const { return chunks_.size() - head_; }
   Duration jitter_allowance() const { return jitter_allowance_; }
   const TimeDrivenBufferStats& stats() const { return stats_; }
 
@@ -111,10 +111,21 @@ class TimeDrivenBuffer {
   void RecordOccupancy();
   // Frame-trace a chunk leaving the buffer unconsumed (no-op otherwise).
   void NoteDropped(const Entry& entry);
+  // The first resident chunk whose timestamp is after `t` (end() if none).
+  std::vector<Entry>::iterator FirstAfter(Time t);
+  // Drops the oldest resident chunk from the ring.
+  void PopFront();
+  // Inserts at the chunk's timestamp-ordered position (appends when it is
+  // the newest, the usual case).
+  void Insert(const BufferedChunk& chunk);
 
   std::int64_t capacity_bytes_;
   Duration jitter_allowance_;
-  std::map<Time, Entry> chunks_;  // keyed by timestamp
+  // Resident chunks in timestamp order, one per timestamp: the live range
+  // is [head_, size()). Discards advance head_; the dead prefix is
+  // reclaimed when the vector would otherwise have to grow.
+  std::vector<Entry> chunks_;
+  std::size_t head_ = 0;
   std::int64_t resident_bytes_ = 0;
   TimeDrivenBufferStats stats_;
   std::unique_ptr<ObsState> obs_;

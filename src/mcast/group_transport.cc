@@ -1,6 +1,7 @@
 #include "src/mcast/group_transport.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/base/logging.h"
@@ -72,7 +73,7 @@ void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
   if (fragment.retransmit) {
     ++stats_.retransmitted_fragments;
   }
-  if (done_.count(fragment.seq) != 0) {
+  if (done_.contains(fragment.seq)) {
     ++stats_.duplicate_fragments;
     return;
   }
@@ -86,7 +87,7 @@ void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
       const std::uint64_t base =
           std::max(mcast_expected_, static_cast<std::uint64_t>(merge_chunk_));
       for (std::uint64_t seq = base; seq < fragment.seq; ++seq) {
-        if (done_.count(seq) == 0) {
+        if (!done_.contains(seq)) {
           EnsureEntry(seq);
         }
       }
@@ -95,7 +96,7 @@ void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
       }
     } else {
       for (std::uint64_t seq = unicast_expected_; seq < fragment.seq; ++seq) {
-        if (done_.count(seq) == 0) {
+        if (!done_.contains(seq)) {
           EnsureEntry(seq);
         }
       }
@@ -135,10 +136,10 @@ void GroupReceiver::OnFragment(const crnet::NpsFragment& fragment) {
 }
 
 bool GroupReceiver::Holds(std::uint64_t seq, int frag_index) const {
-  if (abandoned_.count(seq) != 0) {
+  if (abandoned_.contains(seq)) {
     return false;
   }
-  if (done_.count(seq) != 0) {
+  if (done_.contains(seq)) {
     return true;  // completed: every fragment is on hand
   }
   auto it = pending_.find(seq);
@@ -162,7 +163,7 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
     if (!Holds(ref.seq, ref.frag_index)) {
       ++absent;
       missing = &ref;
-      if (abandoned_.count(ref.seq) != 0) {
+      if (abandoned_.contains(ref.seq)) {
         blocked = true;
       }
     }
@@ -183,7 +184,7 @@ void GroupReceiver::OnRepair(const RepairPacket& packet) {
   }
   // One absence — but only spend the decode if we actually want the data.
   const bool wanted = missing->seq >= static_cast<std::uint64_t>(merge_chunk_) &&
-                      done_.count(missing->seq) == 0;
+                      !done_.contains(missing->seq);
   if (!wanted) {
     ++stats_.repair_useless;
     return;
@@ -292,7 +293,7 @@ void GroupReceiver::Sweep() {
   // reports for chunks simply not sent yet. Chunks already done need no
   // check, whatever their time.
   while (clock_.running() && due_swept_ < index_->count()) {
-    if (done_.count(due_swept_) == 0) {
+    if (!done_.contains(due_swept_)) {
       if (index_->at(static_cast<std::size_t>(due_swept_)).timestamp >
           logical + options_.jitter_allowance) {
         break;
@@ -457,10 +458,12 @@ std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedCh
   const int frag_count = static_cast<int>(frag_bytes.size());
 
   std::vector<Member*> targets;
+  auto receivers = std::make_shared<std::vector<GroupReceiver*>>();
   for (Member& member : members_) {
     if (!member.dead && !member.unicast &&
         static_cast<std::uint64_t>(member.merge_chunk) <= seq) {
       targets.push_back(&member);
+      receivers->push_back(member.receiver);
     }
   }
   StoredChunk stored;
@@ -485,14 +488,12 @@ std::size_t GroupSender::ShipMulticast(std::uint64_t seq, const cras::BufferedCh
     fragment.chunk = chunk;
     fragment.sent_at = sent_at;
     fragment.multicast = true;
-    std::vector<std::function<void()>> delivers;
-    delivers.reserve(targets.size());
-    for (Member* target : targets) {
-      GroupReceiver* receiver = target->receiver;
-      delivers.push_back([receiver, fragment] { receiver->OnFragment(fragment); });
-    }
-    if (!delivers.empty()) {
-      link_->Multicast(fragment.bytes, std::move(delivers));
+    if (!receivers->empty()) {
+      // One closure per packet: every copy reads the same fragment.
+      link_->Multicast(fragment.bytes, receivers->size(),
+                       [receivers, fragment](std::size_t r) {
+                         (*receivers)[r]->OnFragment(fragment);
+                       });
     }
     ++stats_.packets_multicast;
     stats_.bytes_multicast += fragment.bytes;
@@ -742,13 +743,13 @@ void GroupSender::RepairTick() {
   // Greedy window packing: a fragment joins the open window unless some
   // receiver would then be missing two window members (its own need plus
   // this one) — each receiver must hold all-but-one to decode.
-  std::vector<GroupReceiver*> targets;
+  auto targets = std::make_shared<std::vector<GroupReceiver*>>();
   for (Member& member : members_) {
     if (!member.dead && !member.unicast) {
-      targets.push_back(member.receiver);
+      targets->push_back(member.receiver);
     }
   }
-  if (targets.empty()) {
+  if (targets->empty()) {
     return;
   }
   std::vector<const Need*> window;
@@ -772,20 +773,19 @@ void GroupSender::RepairTick() {
       packet.window.push_back(std::move(ref));
     }
     packet.bytes = XorParityBytes(sizes) + options_.repair_packet_overhead;
-    std::vector<std::function<void()>> delivers;
-    delivers.reserve(targets.size());
-    for (GroupReceiver* receiver : targets) {
-      delivers.push_back([receiver, packet] { receiver->OnRepair(packet); });
-    }
-    link_->Multicast(packet.bytes, std::move(delivers));
+    const std::int64_t bytes = packet.bytes;
+    const auto window_size = static_cast<std::int64_t>(packet.window.size());
+    link_->Multicast(bytes, targets->size(),
+                     [targets, packet = std::move(packet)](std::size_t i) {
+                       (*targets)[i]->OnRepair(packet);
+                     });
     ++stats_.repair_packets;
-    stats_.repair_bytes += packet.bytes;
+    stats_.repair_bytes += bytes;
     if (obs_ != nullptr) {
       obs_->repair_packets->Add();
-      obs_->repair_bytes->Add(packet.bytes);
-      obs_->hub->flight().Record(crobs::FlightEventKind::kRepairSent, group_,
-                                 static_cast<std::int64_t>(packet.window.size()),
-                                 packet.bytes, "");
+      obs_->repair_bytes->Add(bytes);
+      obs_->hub->flight().Record(crobs::FlightEventKind::kRepairSent, group_, window_size,
+                                 bytes, "");
     }
     window.clear();
     window_needers.clear();

@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/seq_bitmap.h"
 #include "src/base/time_units.h"
 #include "src/core/cras.h"
 #include "src/core/time_driven_buffer.h"
@@ -230,8 +231,8 @@ class GroupReceiver {
   bool idle_ = false;
   bool idle_on_stopped_clock_ = false;
   std::map<std::uint64_t, Reassembly> pending_;
-  std::set<std::uint64_t> done_;       // completed or abandoned
-  std::set<std::uint64_t> abandoned_;  // subset of done_: holds no data
+  crbase::SeqBitmap done_;       // completed or abandoned
+  crbase::SeqBitmap abandoned_;  // subset of done_: holds no data
   // Gap trackers: every seq below a cursor has an entry or is done.
   std::uint64_t mcast_expected_ = 0;    // multicast stream, from merge_chunk_
   std::uint64_t unicast_expected_ = 0;  // bridge/unicast stream, from 0

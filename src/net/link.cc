@@ -35,7 +35,7 @@ bool Link::Send(std::int64_t bytes, std::function<void()> deliver) {
   if (obs_ != nullptr) {
     obs_->packets_sent->Add();
   }
-  queue_.push_back(Packet{bytes, std::move(deliver), {}});
+  queue_.push_back(Packet{bytes, 0, std::move(deliver), {}});
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
   if (!transmitting_) {
     StartTransmit();
@@ -43,9 +43,11 @@ bool Link::Send(std::int64_t bytes, std::function<void()> deliver) {
   return true;
 }
 
-bool Link::Multicast(std::int64_t bytes, std::vector<std::function<void()>> delivers) {
+bool Link::Multicast(std::int64_t bytes, std::size_t receivers,
+                     std::function<void(std::size_t)> deliver) {
   CRAS_CHECK(bytes > 0);
-  CRAS_CHECK(!delivers.empty());
+  CRAS_CHECK(receivers > 0);
+  CRAS_CHECK(deliver != nullptr);
   if (options_.queue_limit != 0 && queue_.size() >= options_.queue_limit) {
     ++stats_.packets_dropped;
     ++stats_.tx_queue_drops;
@@ -56,7 +58,7 @@ bool Link::Multicast(std::int64_t bytes, std::vector<std::function<void()>> deli
   }
   ++stats_.mcast_packets_sent;
   stats_.bytes_sent += bytes;
-  queue_.push_back(Packet{bytes, nullptr, std::move(delivers)});
+  queue_.push_back(Packet{bytes, receivers, nullptr, std::move(deliver)});
   stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_depth());
   if (!transmitting_) {
     StartTransmit();
@@ -175,17 +177,8 @@ void Link::StartTransmit() {
   // sequence is independent of delivery interleaving.
   engine_->ScheduleAfter(wire_time, [this, packet = std::move(packet)]() mutable {
     transmitting_ = false;
-    if (!packet.multi.empty()) {
-      // One serialized packet, N receivers: the shared loss state advances
-      // once, then every receiver draws its fate (and jitter) on its own.
-      StepLossState();
-      for (std::function<void()>& deliver : packet.multi) {
-        if (DrawLossNow()) {
-          ++stats_.mcast_receiver_drops;
-        } else {
-          DeliverOne(packet.bytes, std::move(deliver), /*multicast=*/true);
-        }
-      }
+    if (packet.receivers > 0) {
+      FanOut(std::move(packet));
     } else if (DrawWireLoss()) {
       ++stats_.packets_dropped;
       ++stats_.wire_drops;
@@ -193,18 +186,18 @@ void Link::StartTransmit() {
         obs_->wire_drops->Add();
       }
     } else {
-      DeliverOne(packet.bytes, std::move(packet.deliver), /*multicast=*/false);
+      DeliverOne(packet.bytes, std::move(packet.deliver));
     }
     StartTransmit();
   });
 }
 
-void Link::DeliverOne(std::int64_t bytes, std::function<void()> deliver, bool multicast) {
+void Link::DeliverOne(std::int64_t bytes, std::function<void()> deliver) {
   // Duplication: the receiver sees the same unicast packet again shortly
   // after the original — drawn here so the copy shares the original's
   // jitter fate and costs no extra wire time (the bits only went out once;
   // the switch replayed them).
-  if (!multicast && impairments_.duplicate_probability > 0.0 &&
+  if (impairments_.duplicate_probability > 0.0 &&
       rng_.NextDouble() < impairments_.duplicate_probability) {
     engine_->ScheduleAfter(
         options_.propagation_delay + impairments_.duplicate_delay, [this, deliver] {
@@ -215,23 +208,59 @@ void Link::DeliverOne(std::int64_t bytes, std::function<void()> deliver, bool mu
         });
   }
   engine_->ScheduleAfter(options_.propagation_delay + DrawExtraDelay(),
-                         [this, bytes, multicast, deliver = std::move(deliver)] {
-                           if (multicast) {
-                             ++stats_.mcast_deliveries;
-                           } else {
-                             ++stats_.packets_delivered;
-                           }
+                         [this, bytes, deliver = std::move(deliver)] {
+                           ++stats_.packets_delivered;
                            stats_.bytes_delivered += bytes;
                            if (obs_ != nullptr) {
-                             if (!multicast) {
-                               obs_->packets_delivered->Add();
-                             }
+                             obs_->packets_delivered->Add();
                              obs_->bytes_delivered->Add(bytes);
                            }
                            if (deliver) {
                              deliver();
                            }
                          });
+}
+
+void Link::FanOut(Packet packet) {
+  // One serialized packet, N receivers: the shared loss state advances
+  // once, then every receiver draws its fate (and jitter) on its own, in
+  // receiver order — the same random stream as one event per receiver.
+  StepLossState();
+  auto copies = std::make_shared<Fanout>();
+  copies->bytes = packet.bytes;
+  copies->deliver = std::move(packet.fan_out);
+  copies->receivers.reserve(packet.receivers);
+  arrivals_.clear();
+  const Time now = engine_->Now();
+  for (std::size_t i = 0; i < packet.receivers; ++i) {
+    if (DrawLossNow()) {
+      ++stats_.mcast_receiver_drops;
+      continue;
+    }
+    copies->receivers.push_back(i);
+    arrivals_.push_back(now + options_.propagation_delay + DrawExtraDelay());
+  }
+  // One event per run of consecutive surviving copies that land at the same
+  // instant. The run's first copy holds the sequence number the copies
+  // would have had one by one, and nothing else can be scheduled between
+  // them, so they fire exactly where the per-copy events would have.
+  const std::size_t n = arrivals_.size();
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    end = begin + 1;
+    while (end < n && arrivals_[end] == arrivals_[begin]) {
+      ++end;
+    }
+    engine_->ScheduleAt(arrivals_[begin], [this, copies, begin, end] {
+      for (std::size_t k = begin; k < end; ++k) {
+        ++stats_.mcast_deliveries;
+        stats_.bytes_delivered += copies->bytes;
+        if (obs_ != nullptr) {
+          obs_->bytes_delivered->Add(copies->bytes);
+        }
+        copies->deliver(copies->receivers[k]);
+      }
+    });
+  }
 }
 
 void Link::AttachObs(crobs::Hub* hub, const std::string& name) {

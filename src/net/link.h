@@ -133,13 +133,17 @@ class Link {
   // packet's `deliver` never fires.
   bool Send(std::int64_t bytes, std::function<void()> deliver);
 
-  // Multicast: one serialized transmission fanned out to every receiver of
-  // a group address. Wire time is paid once; at serialization end the loss
-  // model steps once (the shared-medium burst state advances per packet)
-  // and then *each* receiver draws its own loss and jitter independently —
-  // one multicast packet can reach some receivers and miss others. A
-  // receiver whose draw loses the packet never sees its deliver closure.
-  bool Multicast(std::int64_t bytes, std::vector<std::function<void()>> delivers);
+  // Multicast: one serialized transmission fanned out to `receivers`
+  // receivers of a group address. Wire time is paid once; at serialization
+  // end the loss model steps once (the shared-medium burst state advances
+  // per packet) and then *each* receiver, in index order, draws its own
+  // loss and jitter independently — one multicast packet can reach some
+  // receivers and miss others. `deliver(i)` fires when receiver i's copy
+  // lands; a receiver whose draw loses the packet never sees it. Copies
+  // landing at the same instant share one engine event (see
+  // DESIGN.md "Link-layer fan-out"), in receiver order.
+  bool Multicast(std::int64_t bytes, std::size_t receivers,
+                 std::function<void(std::size_t)> deliver);
 
   // ---- impairment control (live; crfault's link events land here) ----
   void SetImpairments(const LinkImpairments& impairments);
@@ -172,8 +176,16 @@ class Link {
  private:
   struct Packet {
     std::int64_t bytes;
-    std::function<void()> deliver;           // unicast receiver
-    std::vector<std::function<void()>> multi;  // multicast receivers (if any)
+    std::size_t receivers;                     // 0 = unicast
+    std::function<void()> deliver;             // unicast receiver
+    std::function<void(std::size_t)> fan_out;  // multicast receiver i
+  };
+  // The copies of one multicast packet that survived the wire, shared by
+  // the packet's arrival events.
+  struct Fanout {
+    std::int64_t bytes = 0;
+    std::function<void(std::size_t)> deliver;
+    std::vector<std::size_t> receivers;  // in receiver order
   };
   struct ObsState {
     crobs::Hub* hub = nullptr;
@@ -185,7 +197,10 @@ class Link {
   };
 
   void StartTransmit();
-  void DeliverOne(std::int64_t bytes, std::function<void()> deliver, bool multicast);
+  void DeliverOne(std::int64_t bytes, std::function<void()> deliver);
+  // Serialization end of a multicast packet: draws every receiver's fate
+  // and schedules one arrival event per run of same-instant copies.
+  void FanOut(Packet packet);
   // Steps the loss model one packet; true = this packet dies on the wire.
   bool DrawWireLoss();
   // Advances the Gilbert–Elliott chain one packet (no-op for i.i.d. loss).
@@ -202,6 +217,7 @@ class Link {
   crbase::Rng rng_;
   bool ge_in_bad_state_ = false;
   std::deque<Packet> queue_;
+  std::vector<Time> arrivals_;  // reused by FanOut: arrival time per surviving copy
   bool transmitting_ = false;
   LinkStats stats_;
   std::unique_ptr<ObsState> obs_;

@@ -86,7 +86,7 @@ void NpsReceiver::OnFragment(const NpsFragment& fragment) {
   if (fragment.retransmit) {
     ++stats_.retransmitted_fragments;
   }
-  if (done_.count(fragment.seq) != 0) {
+  if (done_.contains(fragment.seq)) {
     ++stats_.duplicate_fragments;  // late retransmit of a finished chunk
     return;
   }
@@ -176,7 +176,7 @@ void NpsReceiver::OnTailTimer() {
   const auto final_chunk = static_cast<std::int64_t>(index_->count()) - 1;
   for (std::int64_t k = 1; k <= final_chunk - last_meta_chunk_; ++k) {
     const auto seq = static_cast<std::uint64_t>(last_meta_seq_ + k);
-    if (done_.count(seq) == 0) {
+    if (!done_.contains(seq)) {
       EnsureEntry(seq);
     }
     expected_next_ = std::max(expected_next_, seq + 1);

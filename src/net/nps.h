@@ -43,10 +43,10 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "src/base/seq_bitmap.h"
 #include "src/base/time_units.h"
 #include "src/core/cras.h"
 #include "src/core/time_driven_buffer.h"
@@ -251,7 +251,7 @@ class NpsReceiver {
   NpsSender* sender_ = nullptr;
   const crmedia::ChunkIndex* index_ = nullptr;
   std::map<std::uint64_t, Reassembly> pending_;
-  std::set<std::uint64_t> done_;  // delivered or abandoned
+  crbase::SeqBitmap done_;  // delivered or abandoned
   std::uint64_t expected_next_ = 0;  // every seq below this has an entry or is done
   // The highest sequence number whose chunk metadata arrived, and its chunk
   // index: the tail sweep's anchor. -1 until a fragment arrives.

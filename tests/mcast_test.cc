@@ -226,6 +226,103 @@ TEST(GroupTransport, OneRepairPacketFixesDifferentLossesAtTwoReceivers) {
 }
 
 // ---------------------------------------------------------------------------
+// Unit: the receiver's done-sets (completed and abandoned sequence numbers).
+
+crnet::NpsFragment McastFragment(const crmedia::ChunkIndex& index, std::uint64_t seq,
+                                 int frag_index, int frag_count) {
+  crnet::NpsFragment f;
+  f.seq = seq;
+  f.frag_index = frag_index;
+  f.frag_count = frag_count;
+  f.bytes = 4096;
+  f.chunk.chunk_index = static_cast<std::int64_t>(seq);
+  const crmedia::Chunk& chunk = index.at(static_cast<std::size_t>(seq) % index.count());
+  f.chunk.timestamp = chunk.timestamp;
+  f.chunk.duration = chunk.duration;
+  f.chunk.size = 4096 * frag_count;
+  f.multicast = true;
+  return f;
+}
+
+RepairRef RefOf(const crnet::NpsFragment& f) {
+  RepairRef ref;
+  ref.seq = f.seq;
+  ref.frag_index = f.frag_index;
+  ref.frag_count = f.frag_count;
+  ref.bytes = f.bytes;
+  ref.chunk = f.chunk;
+  return ref;
+}
+
+TEST(GroupReceiverDoneSet, FragmentOfACompletedChunkIsADuplicate) {
+  cras::Testbed bed;
+  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "m", Seconds(4));
+  GroupReceiver receiver(bed.kernel, &movie.index);
+  receiver.OnFragment(McastFragment(movie.index, 0, 0, 2));
+  receiver.OnFragment(McastFragment(movie.index, 0, 1, 2));
+  ASSERT_EQ(receiver.stats().chunks_received, 1);
+  receiver.OnFragment(McastFragment(movie.index, 0, 1, 2));
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+  EXPECT_EQ(receiver.stats().chunks_received, 1);
+  EXPECT_EQ(receiver.incomplete_chunks(), 0u);
+}
+
+// Chunk 0 holds one of its two fragments when playout passes it; chunk 1
+// is complete. The abandoned chunk holds nothing from then on: a late
+// fragment is a duplicate, and a parity over (0,0) and (1,1) cannot decode
+// (0,0) back — the abandoned member is absent and its data gone.
+TEST(GroupReceiverDoneSet, AbandonedChunkHoldsNothingAndBlocksRepair) {
+  cras::Testbed bed;
+  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "m", Seconds(4));
+  GroupReceiver receiver(bed.kernel, &movie.index);
+  crsim::Task reporter = receiver.Start();
+  receiver.OnFragment(McastFragment(movie.index, 0, 0, 2));
+  receiver.OnFragment(McastFragment(movie.index, 1, 0, 2));
+  receiver.OnFragment(McastFragment(movie.index, 1, 1, 2));
+  ASSERT_EQ(receiver.stats().chunks_received, 1);
+  receiver.clock().SeekTo(crnet::ChunkDeadline(movie.index.at(0)) + 1);
+  bed.engine().RunFor(Milliseconds(100));
+  ASSERT_EQ(receiver.stats().chunks_abandoned, 1);
+
+  receiver.OnFragment(McastFragment(movie.index, 0, 1, 2));
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+  EXPECT_EQ(receiver.stats().chunks_received, 1) << "an abandoned chunk never completes";
+
+  RepairPacket packet;
+  packet.window.push_back(RefOf(McastFragment(movie.index, 0, 0, 2)));
+  packet.window.push_back(RefOf(McastFragment(movie.index, 1, 1, 2)));
+  packet.bytes = 4096 + 96;
+  receiver.OnRepair(packet);
+  EXPECT_EQ(receiver.stats().repair_decode_failed, 1)
+      << "the fragment held before abandonment no longer counts as held";
+  EXPECT_EQ(receiver.stats().repair_useless, 0);
+  EXPECT_EQ(receiver.stats().repair_decodes, 0);
+  EXPECT_EQ(receiver.stats().chunks_received, 1);
+  receiver.Stop();
+  bed.engine().RunFor(Milliseconds(100));
+}
+
+TEST(GroupReceiverDoneSet, FirstFragmentFarAheadStillReassembles) {
+  cras::Testbed bed;
+  const auto movie = *crmedia::WriteMpeg1File(bed.fs, "m", Seconds(4));
+  GroupReceiver receiver(bed.kernel, &movie.index);
+  const std::uint64_t far = 5000;
+  receiver.OnFragment(McastFragment(movie.index, far, 1, 2));
+  receiver.OnFragment(McastFragment(movie.index, far, 0, 2));
+  EXPECT_EQ(receiver.stats().chunks_received, 1);
+  // Every multicast sequence number below it is a gap placeholder.
+  EXPECT_EQ(receiver.incomplete_chunks(), far);
+  receiver.OnFragment(McastFragment(movie.index, far, 0, 2));
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+  // A placeholder still completes; the next sequence number is fresh.
+  receiver.OnFragment(McastFragment(movie.index, far - 1, 0, 1));
+  receiver.OnFragment(McastFragment(movie.index, far + 1, 0, 1));
+  EXPECT_EQ(receiver.stats().chunks_received, 3);
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+  EXPECT_EQ(receiver.incomplete_chunks(), far - 1);
+}
+
+// ---------------------------------------------------------------------------
 // Integration rig: grouped viewers over a shared forward link.
 
 struct Viewer {

@@ -109,6 +109,180 @@ TEST(Link, UtilizationTracksBusyTime) {
 }
 
 // ---------------------------------------------------------------------------
+// Multicast fan-out: one serialization, one arrival event per run of copies
+// landing at the same instant.
+
+struct McastDelivery {
+  crbase::Time at;
+  int packet;
+  std::size_t receiver;
+};
+
+// Multicasts `packets` packets of 1250 bytes (1 ms on the wire each) to
+// `receivers` receivers, recording every delivery.
+std::vector<McastDelivery> MulticastAll(crsim::Engine& engine, Link& link, int packets,
+                                        std::size_t receivers) {
+  std::vector<McastDelivery> log;
+  for (int p = 0; p < packets; ++p) {
+    EXPECT_TRUE(link.Multicast(1250, receivers, [&engine, &log, p](std::size_t i) {
+      log.push_back({engine.Now(), p, i});
+    }));
+  }
+  engine.Run();
+  return log;
+}
+
+TEST(LinkMulticast, GilbertElliottChainStepsBeforeTheReceiverDraws) {
+  // The chain enters the bad state on the first step and leaves it on the
+  // next; the bad state loses everything, the good state nothing. Only a
+  // chain stepped once per packet, before any receiver draws, loses exactly
+  // the even-numbered packets at every receiver.
+  crsim::Engine engine;
+  Link::Options options = FastLink();
+  options.impairments.gilbert_elliott = true;
+  options.impairments.ge_p_enter_bad = 1.0;
+  options.impairments.ge_p_exit_bad = 1.0;
+  options.impairments.ge_loss_good = 0.0;
+  options.impairments.ge_loss_bad = 1.0;
+  Link link(engine, options);
+  const std::size_t receivers = 5;
+  const std::vector<McastDelivery> log = MulticastAll(engine, link, 4, receivers);
+  ASSERT_EQ(log.size(), 2 * receivers);
+  for (const McastDelivery& d : log) {
+    EXPECT_EQ(d.packet % 2, 1) << "packet " << d.packet << " reached receiver " << d.receiver;
+  }
+  EXPECT_EQ(link.stats().mcast_packets_sent, 4);
+  EXPECT_EQ(link.stats().mcast_receiver_drops, static_cast<std::int64_t>(2 * receivers));
+  EXPECT_EQ(link.stats().mcast_deliveries, static_cast<std::int64_t>(2 * receivers));
+}
+
+TEST(LinkMulticast, WithoutJitterEachPacketCostsTwoEvents) {
+  crsim::Engine engine;
+  Link link(engine, FastLink());
+  const int packets = 3;
+  const std::size_t receivers = 100;
+  const std::vector<McastDelivery> log = MulticastAll(engine, link, packets, receivers);
+  // Serialization end, then one arrival event for every copy.
+  EXPECT_EQ(engine.events_fired(), static_cast<std::uint64_t>(2 * packets));
+  ASSERT_EQ(log.size(), packets * receivers);
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    const int packet = static_cast<int>(k / receivers);
+    EXPECT_EQ(log[k].packet, packet);
+    EXPECT_EQ(log[k].receiver, k % receivers) << "copies fire in receiver order";
+    EXPECT_EQ(log[k].at, Milliseconds(packet + 1) + Milliseconds(1));
+  }
+  EXPECT_EQ(link.stats().mcast_deliveries, static_cast<std::int64_t>(packets * receivers));
+  EXPECT_EQ(link.stats().bytes_delivered, static_cast<std::int64_t>(packets * receivers) * 1250);
+  EXPECT_EQ(link.stats().bytes_sent, packets * 1250);
+}
+
+TEST(LinkMulticast, JitteredCopiesArriveInTimeThenReceiverOrder) {
+  crsim::Engine engine;
+  Link::Options options = FastLink();
+  // A jitter of a few nanoseconds makes many copies of one packet land at
+  // the same instant and many at different ones.
+  const crbase::Duration jitter = 3;
+  options.impairments.jitter = jitter;
+  Link link(engine, options);
+  const std::size_t receivers = 64;
+  const int packets = 3;
+  const std::vector<McastDelivery> log = MulticastAll(engine, link, packets, receivers);
+  ASSERT_EQ(log.size(), packets * receivers);
+  std::vector<std::vector<crbase::Time>> at(packets, std::vector<crbase::Time>(receivers, -1));
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    const McastDelivery& d = log[k];
+    const crbase::Time arrive = Milliseconds(d.packet + 1) + Milliseconds(1);
+    EXPECT_GE(d.at, arrive);
+    EXPECT_LE(d.at, arrive + jitter);
+    crbase::Time& slot = at[static_cast<std::size_t>(d.packet)][d.receiver];
+    EXPECT_EQ(slot, -1) << "delivered twice";
+    slot = d.at;
+    if (k > 0 && log[k - 1].packet == d.packet) {
+      const McastDelivery& prev = log[k - 1];
+      EXPECT_TRUE(prev.at < d.at || (prev.at == d.at && prev.receiver < d.receiver))
+          << "packet " << d.packet << ": receiver " << d.receiver << " at " << d.at
+          << " after receiver " << prev.receiver << " at " << prev.at;
+    }
+  }
+  // Events: one serialization end per packet, plus one per run of
+  // consecutive receivers whose copies landed at the same instant.
+  std::uint64_t expected_events = 0;
+  for (const std::vector<crbase::Time>& times : at) {
+    expected_events += 2;
+    for (std::size_t i = 1; i < receivers; ++i) {
+      expected_events += times[i] != times[i - 1] ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(engine.events_fired(), expected_events);
+  EXPECT_GT(expected_events, static_cast<std::uint64_t>(2 * packets)) << "the jitter spread copies";
+  EXPECT_LT(expected_events, static_cast<std::uint64_t>(packets) * (1 + receivers))
+      << "some copies shared an instant";
+}
+
+// ---------------------------------------------------------------------------
+// NPS receiver done-set edges (direct OnFragment injection).
+
+NpsFragment RxFragment(std::uint64_t seq, int index, int count) {
+  NpsFragment fragment;
+  fragment.seq = seq;
+  fragment.frag_index = index;
+  fragment.frag_count = count;
+  fragment.bytes = 1000;
+  fragment.chunk.chunk_index = static_cast<std::int64_t>(seq);
+  fragment.chunk.timestamp = Milliseconds(100) * static_cast<std::int64_t>(seq);
+  fragment.chunk.duration = Milliseconds(100);
+  fragment.chunk.size = 1000 * count;
+  return fragment;
+}
+
+TEST(NpsDoneSet, FragmentOfACompletedChunkIsADuplicate) {
+  crrt::Kernel kernel{crrt::Kernel::Options{}};
+  NpsReceiver receiver(kernel);
+  receiver.OnFragment(RxFragment(0, 0, 2));
+  receiver.OnFragment(RxFragment(0, 1, 2));
+  ASSERT_EQ(receiver.stats().chunks_received, 1);
+  NpsFragment retransmit = RxFragment(0, 0, 2);
+  retransmit.retransmit = true;
+  receiver.OnFragment(retransmit);
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+  EXPECT_EQ(receiver.stats().chunks_received, 1);
+  EXPECT_EQ(receiver.incomplete_chunks(), 0u);
+}
+
+TEST(NpsDoneSet, LateFragmentOfAnAbandonedChunkIsADuplicate) {
+  // No reverse link: an incomplete chunk is abandoned after the grace.
+  crrt::Kernel kernel{crrt::Kernel::Options{}};
+  NpsReceiver receiver(kernel);
+  receiver.OnFragment(RxFragment(0, 0, 2));
+  kernel.engine().RunFor(NpsReceiver::Options{}.nak_delay * 2);
+  ASSERT_EQ(receiver.stats().chunks_abandoned, 1);
+  receiver.OnFragment(RxFragment(0, 1, 2));
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+  EXPECT_EQ(receiver.stats().chunks_received, 0) << "an abandoned chunk never completes";
+  EXPECT_EQ(receiver.incomplete_chunks(), 0u);
+}
+
+TEST(NpsDoneSet, FirstFragmentFarAheadStillReassembles) {
+  crrt::Kernel kernel{crrt::Kernel::Options{}};
+  NpsReceiver receiver(kernel);
+  const std::uint64_t far = 5000;
+  receiver.OnFragment(RxFragment(far, 1, 2));
+  receiver.OnFragment(RxFragment(far, 0, 2));
+  EXPECT_EQ(receiver.stats().chunks_received, 1);
+  // Every skipped sequence number is a placeholder for a lost chunk.
+  EXPECT_EQ(receiver.incomplete_chunks(), far);
+  receiver.OnFragment(RxFragment(far, 0, 2));
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 1);
+  kernel.engine().RunFor(NpsReceiver::Options{}.nak_delay * 2);
+  EXPECT_EQ(receiver.stats().chunks_abandoned, static_cast<std::int64_t>(far));
+  // Abandoning the placeholders below leaves the completed chunk alone.
+  receiver.OnFragment(RxFragment(far - 1, 0, 1));
+  receiver.OnFragment(RxFragment(far + 1, 0, 1));
+  EXPECT_EQ(receiver.stats().duplicate_fragments, 2);
+  EXPECT_EQ(receiver.stats().chunks_received, 2);
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: CRAS -> NPS -> link -> remote buffer, two hosts on one
 // timeline.
 // ---------------------------------------------------------------------------
